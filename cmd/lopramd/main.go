@@ -79,20 +79,17 @@
 // with per-priority-class latency percentiles — the load-test harness:
 //
 //	lopramd -scenario priority-inversion-probe
+//	lopramd -scenario all-engines-sweep              # whole catalogue, all engines
 //	lopramd -scenario my-traffic.json -workers 8 -shards 4
 //	lopramd -list-scenarios
 //
-// Batch mode replays a synthetic mixed workload through the same queue
-// and prints a serving report (the pre-scenario harness, kept for quick
-// ad-hoc smoke loads):
-//
-//	lopramd -batch 100 -workers 8 -seed 42 -dup 0.3
+// A scenario spec file sets its own seed, mix and duplicate fraction, so
+// ad-hoc smoke loads are scenario files too.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -101,18 +98,15 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"lopram/internal/core"
 	"lopram/internal/jobqueue"
 	"lopram/internal/jobtrace"
 	"lopram/internal/lopramhttp"
 	"lopram/internal/scenario"
-	"lopram/internal/workload"
 )
 
 func main() {
@@ -125,10 +119,6 @@ func main() {
 		classesCSV = flag.String("classes", "", `priority classes as name:weight[:quota],... — weight "strict" or an integer (dequeue share), quota in (0,1] (admission lane fraction, default 1); empty keeps the default interactive:strict:1,batch:1:<batch-share>`)
 		cacheSize  = flag.Int("cache", 512, "LRU result cache entries across all shards (-1 disables)")
 		timeout    = flag.Duration("timeout", 60*time.Second, "default per-job deadline")
-		batch      = flag.Int("batch", 0, "batch mode: run this many synthetic jobs and exit")
-		seed       = flag.Uint64("seed", 1, "batch mode: workload seed")
-		dup        = flag.Float64("dup", 0.3, "batch mode: fraction of jobs that duplicate an earlier spec (exercises the cache)")
-		algos      = flag.String("algorithms", "", "batch mode: comma-separated algorithm subset (default: full catalogue)")
 		autoscaleS = flag.String("autoscale", "", `serve mode: contention-driven shard autoscaling as min:max[:interval[:high[:low]]] (e.g. "1:8" or "1:8:250ms:4:0.5"); empty keeps the shard count fixed unless POST /v1/resize moves it`)
 		deqPolicy  = flag.String("dequeue-policy", "", `dequeue policy: default (strict-then-DWRR), fcfs, sjf (predicted-cost shortest job first) or edf (earliest deadline first); empty keeps the default`)
 		admPolicy  = flag.String("admission-policy", "", `admission policy: default (static lane quotas) or token-bucket[:RATE[:BURST]] (per-class rate limit + deadline-infeasibility shedding); empty keeps the default`)
@@ -227,13 +217,6 @@ func main() {
 		return
 	case *scenarioID != "":
 		if err := runScenario(cfg, setFlags, *scenarioID); err != nil {
-			fmt.Fprintf(os.Stderr, "lopramd: %v\n", err)
-			os.Exit(1)
-		}
-		closeTrace()
-		return
-	case *batch > 0:
-		if err := runBatch(cfg, *batch, *seed, *dup, *algos); err != nil {
 			fmt.Fprintf(os.Stderr, "lopramd: %v\n", err)
 			os.Exit(1)
 		}
@@ -415,139 +398,4 @@ func newDebugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// ---- batch mode ----
-
-// runBatch synthesizes a deterministic mixed workload (weighted algorithm
-// choice, log-uniform sizes, a duplicate fraction re-submitting earlier
-// specs) and replays it through the queue, then prints the serving report.
-func runBatch(cfg jobqueue.Config, count int, seed uint64, dupFrac float64, algoCSV string) error {
-	names := core.Algorithms()
-	if algoCSV != "" {
-		names = nil
-		for _, s := range strings.Split(algoCSV, ",") {
-			s = strings.TrimSpace(s)
-			if core.MaxN(s, core.EnginePalrt) == 0 && core.MaxN(s, core.EngineSim) == 0 && core.MaxN(s, core.EnginePRAM) == 0 {
-				return fmt.Errorf("unknown algorithm %q (catalogue: %s)", s, strings.Join(core.Algorithms(), ", "))
-			}
-			names = append(names, s)
-		}
-	}
-
-	// Every (algorithm, engine) pair in the subset, uniformly weighted.
-	type pair struct {
-		algo   string
-		engine core.Engine
-	}
-	var pairs []pair
-	for _, name := range names {
-		for _, e := range core.EnginesFor(name) {
-			pairs = append(pairs, pair{name, e})
-		}
-	}
-	if len(pairs) == 0 {
-		return fmt.Errorf("no runnable (algorithm, engine) pairs")
-	}
-	weights := make([]int, len(pairs))
-	for i := range weights {
-		weights[i] = 1
-	}
-
-	r := workload.NewRNG(seed)
-	var specs []jobqueue.Spec
-	for len(specs) < count {
-		if len(specs) > 0 && r.Float64() < dupFrac {
-			// Re-request an earlier spec verbatim: the duplicate traffic
-			// the result cache and coalescer exist for.
-			specs = append(specs, specs[r.Intn(len(specs))])
-			continue
-		}
-		p := pairs[workload.Choice(r, weights)]
-		maxN := core.MaxN(p.algo, p.engine)
-		hi := maxN
-		if hi > 1<<16 {
-			hi = 1 << 16
-		}
-		lo := 16
-		if lo > hi {
-			lo = hi
-		}
-		specs = append(specs, jobqueue.Spec{
-			Algorithm: p.algo,
-			N:         workload.LogUniform(r, lo, hi),
-			Engine:    p.engine,
-			Seed:      r.Uint64() % 8, // small seed space → organic duplicates too
-		})
-	}
-
-	q := jobqueue.New(cfg)
-	defer q.Close()
-
-	// Closed-loop load generation: keep a bounded window of jobs in
-	// flight, like a client population of fixed size. (An open-loop
-	// flood would make every duplicate coalesce onto an in-flight job;
-	// the window lets later duplicates hit the result cache instead.)
-	window := 4 * cfg.Workers
-	if window < 8 {
-		window = 8
-	}
-	start := time.Now()
-	jobs := make([]*jobqueue.Job, 0, count)
-	failures := 0
-	waitOldest := func(idx int) {
-		if _, err := jobs[idx].Wait(context.Background()); err != nil {
-			failures++
-			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", jobs[idx].Name, err)
-		}
-	}
-	for _, spec := range specs {
-		job, err := q.Submit(spec)
-		if err != nil {
-			if errors.Is(err, jobqueue.ErrQueueFull) {
-				return fmt.Errorf("queue saturated at %d jobs; raise -queue-depth", len(jobs))
-			}
-			return fmt.Errorf("submitting %s: %w", spec, err)
-		}
-		jobs = append(jobs, job)
-		if waited := len(jobs) - window; waited >= 0 {
-			waitOldest(waited)
-		}
-	}
-	// The submit loop waited indices 0..len(jobs)-window; drain the rest.
-	drainFrom := len(jobs) - window + 1
-	if drainFrom < 0 {
-		drainFrom = 0
-	}
-	for i := drainFrom; i < len(jobs); i++ {
-		waitOldest(i)
-	}
-	elapsed := time.Since(start)
-
-	m := q.Snapshot()
-	fmt.Printf("lopramd batch: %d jobs in %v (%.1f jobs/sec, %d workers)\n",
-		len(jobs), elapsed.Round(time.Millisecond), float64(len(jobs))/elapsed.Seconds(), m.Workers)
-	fmt.Printf("  executed %d · cache hits %d · coalesced %d · hit rate %.0f%% · failures %d · timeouts %d\n",
-		m.Completed+m.Failed, m.CacheHits, m.Coalesced, 100*m.HitRate, m.Failed, m.Timeouts)
-	fmt.Printf("  exec latency ms: p50 %.2f · p95 %.2f · p99 %.2f · max %.2f\n",
-		m.Wall.P50, m.Wall.P95, m.Wall.P99, m.Wall.Max)
-	fmt.Printf("  queue wait ms:   p50 %.2f · p95 %.2f · p99 %.2f · max %.2f\n",
-		m.Wait.P50, m.Wait.P95, m.Wait.P99, m.Wait.Max)
-	fmt.Printf("  palrt scheduler: spawned %d (stolen %d) · inlined %d · workers started %d\n",
-		m.Scheduler.Spawned, m.Scheduler.Stolen, m.Scheduler.Inlined, m.Scheduler.WorkersStarted)
-
-	var algNames []string
-	for name := range m.PerAlgorithm {
-		algNames = append(algNames, name)
-	}
-	sort.Strings(algNames)
-	fmt.Println("  per algorithm (executed runs):")
-	for _, name := range algNames {
-		s := m.PerAlgorithm[name]
-		fmt.Printf("    %-14s count %-4d mean %.2fms  failed %d\n", name, s.Count, s.MeanWallMS, s.Failed)
-	}
-	if failures > 0 {
-		return fmt.Errorf("%d of %d jobs failed", failures, len(jobs))
-	}
-	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lopram/internal/core"
-	"lopram/internal/jobtrace"
 )
 
 // The frame arena: pooled Job and Batch frames for the batch-first ingest
@@ -16,10 +15,12 @@ import (
 // Job per call because the Job escapes to the caller for its whole
 // lifetime; a Batch submitter instead borrows frames from jobPool, reads
 // the outcomes, and hands every frame back with Release — so the
-// steady-state batch submit path allocates zero per job. Frames that
-// escape the batch lifecycle anyway (a single-Submit caller coalesced
-// onto one, or a deadline-abandoned run still holding one) are pinned and
-// left to the garbage collector instead of recycled.
+// steady-state batch submit path allocates zero per job. No other
+// submission ever holds a pooled frame: a coalescing duplicate chains
+// itself onto the frame, and the winner's flush empties the chain before
+// the frame's batch can observe completion. A frame still referenced by a
+// deadline-abandoned run is left to the garbage collector instead of
+// recycled.
 
 // jobPool recycles batch job frames. Frames produced here are marked
 // pooled: the ingest path skips ID retention for them (they are not
@@ -44,13 +45,12 @@ func newFrame(now time.Time) *Job {
 	return j
 }
 
-// release returns a settled frame to the arena. Frames that escaped —
-// pinned by a coalescing single Submit, or still referenced by an
-// abandoned run or a racing deadline loser (touches > 0) — are skipped
-// and left to the GC: recycling them would let the stale holder write
-// into the frame's next incarnation.
+// release returns a settled frame to the arena. Frames still referenced
+// by an abandoned run or a racing deadline loser (touches > 0) are
+// skipped and left to the GC: recycling them would let the stale holder
+// write into the frame's next incarnation.
 func (j *Job) release() {
-	if j.pinned.Load() || j.touches.Load() != 0 {
+	if j.touches.Load() != 0 {
 		return
 	}
 	j.ID = 0
@@ -152,80 +152,46 @@ func (b *Batch) SubmitSpec(spec *Spec) error {
 		j.signalDone()
 		return err
 	}
-	if q.cal != nil {
-		j.cost = q.cal.estimate(*spec, spec.key().P)
-	}
 	key := spec.key()
-	// Lock-free cache-hit fast path (see Submit): the frame turns
-	// terminal in place without ring publication, a pending count, or —
-	// on an untraced queue — any allocation. The frame never acquires a
-	// notify hook, mirroring the validation-refusal path above, so
-	// Wait/Outcome/Release semantics are unchanged.
-	if p := q.place.Load(); p != nil {
-		s := p.shardFor(key)
-		if idx := s.cacheIdx.Load(); idx != nil {
-			if e, ok := (*idx)[key]; ok {
-				j.ID = q.newID(s.idx)
-				j.submitShard = s.idx
-				j.submitEpoch = p.epoch
-				if j.Name == "" {
-					j.Name = e.name // already rendered at settle; no allocation
-				}
-				q.cacheHits.Add(1)
-				q.submitted.Add(1)
-				q.perClass[class].submitted.Add(1)
-				if q.rec != nil {
-					// Record before completing: the record must be built
-					// before the owner can observe completion and Release
-					// the frame.
-					q.recordServed(q.baseRecord(j), jobtrace.DispositionHit, s.idx, p.epoch)
-				}
-				j.completeCached(e.res, now)
-				return nil
-			}
-		}
+	if q.cal != nil {
+		j.cost = q.cal.estimate(*spec, key.P)
+	}
+	// A hit turns the frame terminal in place without ring publication, a
+	// pending count, or — on an untraced queue — any allocation. The frame
+	// never acquires a notify hook, mirroring the validation-refusal path
+	// above, so Wait/Outcome/Release semantics are unchanged.
+	if q.probeCache(j, key) {
+		return nil
 	}
 	j.notify = b
 	b.pending.Add(1)
 	for {
 		p := q.place.Load()
 		s := p.shardFor(key)
-		switch s.ring.publish(j) {
-		case ringOK:
+		if s.ring.publish(j) == ringOK {
 			q.kickWorkers()
 			return nil
-		case ringSealed:
-			// The shard left the table: a resize retired it (follow the
-			// keys to the new table) or shutdown closed it.
-			s.mu.Lock()
-			closed := s.closed
+		}
+		// The ring is sealed (the shard left the table: a resize retired
+		// it or shutdown closed it, and the flag was set before the seal)
+		// or full (the drain side is saturated). Either way the flags
+		// under the shard lock decide: follow a retired shard's keys to
+		// the new table, refuse on a closed one, else help drain the
+		// backlog and retry — FIFO is preserved, the backlog is admitted
+		// before this frame republishes.
+		s.mu.Lock()
+		switch {
+		case s.closed:
 			s.mu.Unlock()
-			if closed {
-				q.rejected.Add(1)
-				q.perClass[class].rejected.Add(1)
-				j.markFinished(Result{}, ErrClosed, now)
-				j.signalDone()
-				return ErrClosed
-			}
+			q.rejected.Add(1)
+			q.perClass[class].rejected.Add(1)
+			j.markFinished(Result{}, ErrClosed, now)
+			j.signalDone()
+			return ErrClosed
+		case s.retired:
+			s.mu.Unlock()
 			retryPlacement()
-		case ringFull:
-			// The drain side is saturated: help drain the backlog under
-			// the shard lock, then retry the publish. FIFO is preserved —
-			// the backlog is ingested before this frame republishes.
-			s.mu.Lock()
-			if s.retired {
-				s.mu.Unlock()
-				retryPlacement()
-				continue
-			}
-			if s.closed {
-				s.mu.Unlock()
-				q.rejected.Add(1)
-				q.perClass[class].rejected.Add(1)
-				j.markFinished(Result{}, ErrClosed, now)
-				j.signalDone()
-				return ErrClosed
-			}
+		default:
 			q.drainRingLocked(p, s)
 			s.mu.Unlock()
 		}

@@ -176,11 +176,11 @@ func TestBatchWaitContextCanceled(t *testing.T) {
 	b.Release()
 }
 
-// TestBatchCoalescePinsEscapedFrame covers the one path where a pooled
-// frame escapes its batch: a single Submit coalescing onto it. The frame
-// must be pinned — never recycled — so the escaped handle stays valid
-// after Release.
-func TestBatchCoalescePinsEscapedFrame(t *testing.T) {
+// TestSubmitCoalescedOntoPooledFrame covers a single Submit whose
+// duplicate is in flight as a pooled batch frame. The Submit gets its own
+// job chained onto the frame, never the frame itself, so its result stays
+// valid after the batch's Release recycles the frame.
+func TestSubmitCoalescedOntoPooledFrame(t *testing.T) {
 	q := New(Config{Workers: 1, Shards: 1, CacheSize: -1})
 	defer q.Close()
 	release := blockWorkers(t, q, 1)
@@ -197,8 +197,8 @@ func TestBatchCoalescePinsEscapedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if !dup.pooled || !dup.pinned.Load() {
-		t.Fatalf("coalesced frame pooled=%v pinned=%v, want both true", dup.pooled, dup.pinned.Load())
+	if dup.pooled || dup == b.jobs[0] {
+		t.Fatal("coalesced Submit returned the batch's pooled frame")
 	}
 	release()
 	want, err := dup.Wait(context.Background())
@@ -208,14 +208,20 @@ func TestBatchCoalescePinsEscapedFrame(t *testing.T) {
 	if err := b.Wait(context.Background()); err != nil {
 		t.Fatalf("batch Wait: %v", err)
 	}
+	frameRes, err := b.Outcome(0)
+	if err != nil || frameRes != want {
+		t.Fatalf("frame outcome %+v (%v), coalesced job got %+v", frameRes, err, want)
+	}
 	b.Release()
-	// The escaped handle survives Release un-reset.
 	got, err := dup.Result()
 	if err != nil {
 		t.Fatalf("dup.Result after Release: %v", err)
 	}
-	if got.Value != want.Value || dup.ID == 0 {
-		t.Fatal("pinned frame was reset by Release")
+	if got != want || dup.ID == 0 || dup.Spec.Seed != spec.Seed {
+		t.Fatal("coalesced job changed after the batch's Release")
+	}
+	if m := q.Snapshot(); m.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
 	}
 }
 

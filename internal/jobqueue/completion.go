@@ -23,9 +23,11 @@ import (
 
 // completionFlushK is the completion-buffer flush threshold: a worker
 // publishes its buffered outcomes at K, or earlier whenever it would
-// otherwise park, run arbitrary code (a func job), or block waiting out
-// an abandoned run — any point where holding completions would delay
-// their waiters indefinitely.
+// otherwise park, dispatch a run not predicted cheap (the runner path,
+// func jobs included), or block waiting out an abandoned run — any point
+// where holding completions would delay their waiters behind unrelated
+// work. Only inline runs, predicted far under their deadlines, may
+// accumulate behind one another.
 const completionFlushK = 32
 
 // completion is one buffered finished-job outcome, carrying everything
@@ -243,10 +245,10 @@ func (q *Queue) flushCompletions(ws *workerState) {
 	for i := range ws.buf {
 		c := &ws.buf[i]
 		job := c.job
-		// Complete the pooled frames coalesced onto this job while it was
-		// in flight. The inflight entry was removed in phase 1, so no
-		// further frame can chain on; completing after the cache write
-		// preserves the signal ordering for the chained waiters too.
+		// Complete the duplicates coalesced onto this job while it was in
+		// flight. The inflight entry was removed in phase 1, so no
+		// further submission can chain on; completing after the cache
+		// write preserves the signal ordering for the chained waiters too.
 		job.mu.Lock()
 		chained := job.chained
 		job.chained = nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lopram/internal/core"
 	"lopram/internal/jobtrace"
 )
 
@@ -135,7 +136,7 @@ func TestBatchedSettleResizeDuplicateStorm(t *testing.T) {
 // frame comes from the arena and the hit is served from the lock-free
 // read index without ring publication, a done channel, or a rendered
 // name. The single-Submit path returns an escaping *Job — that is its
-// API — so it is pinned at exactly that one allocation (the name comes
+// API — so it is held to exactly that one allocation (the name comes
 // pre-rendered from the cache entry).
 func TestCacheHitSubmitAllocs(t *testing.T) {
 	if raceEnabled {
@@ -234,5 +235,93 @@ func TestCacheHitJobsNotRetained(t *testing.T) {
 	}
 	if _, ok := q.Get(hit.ID); ok {
 		t.Fatal("cache-hit job retained for Get; the caller holds the only handle")
+	}
+}
+
+// TestIngestChainsOntoFinishedUnflushedWinner pins the settle-before-
+// signal promise for a duplicate that arrives in the window between its
+// winner finishing and the winner's completion flush: the duplicate
+// chains onto the winner and stays pending until that flush, so when
+// its batch's Wait returns, the cache already holds the result.
+func TestIngestChainsOntoFinishedUnflushedWinner(t *testing.T) {
+	q := New(Config{Workers: 1, Shards: 1, CacheSize: 1 << 10})
+	defer q.Close()
+	release := blockWorkers(t, q, 1)
+	defer release()
+	spec := simSpec(5)
+	winner, err := q.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	// Play the worker by hand: the winner finishes but its outcome sits
+	// unflushed in a completion buffer.
+	res := Result{Outcome: core.Outcome{Value: 99}}
+	if !winner.markFinished(res, nil, time.Now()) {
+		t.Fatal("winner already terminal")
+	}
+	ws := &workerState{}
+	q.bufferCompletion(ws, winner, res, nil, 0, time.Now())
+
+	b := q.NewBatch()
+	if err := b.Submit(spec); err != nil {
+		t.Fatalf("Batch.Submit: %v", err)
+	}
+	p := q.place.Load()
+	s := p.shardFor(spec.key())
+	q.drainRing(p, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := b.Wait(ctx); err == nil {
+		t.Fatal("duplicate completed before its winner's flush")
+	}
+
+	q.flushCompletions(ws)
+	if err := b.Wait(context.Background()); err != nil {
+		t.Fatalf("Wait after flush: %v", err)
+	}
+	s.mu.Lock()
+	_, cached := s.cache.get(spec.key())
+	s.mu.Unlock()
+	if !cached {
+		t.Fatal("batch Wait returned while the cache lacks the result")
+	}
+	if got, err := b.Outcome(0); err != nil || got.Value != 99 {
+		t.Fatalf("duplicate outcome %+v (%v), want the winner's", got, err)
+	}
+	b.Release()
+	if m := q.Snapshot(); m.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
+	}
+}
+
+// TestFlushBeforeRunnerDispatch pins bounded completion latency: a cheap
+// job that finished inline must be signalled before its worker starts an
+// unrelated long run on the runner path, not after that run ends.
+func TestFlushBeforeRunnerDispatch(t *testing.T) {
+	q := New(Config{Workers: 1, Shards: 1, CacheSize: -1})
+	defer q.Close()
+	release := blockWorkers(t, q, 1)
+	cheap := simSpec(9)
+	long := Spec{Algorithm: "mergesort", N: 1 << 21, Engine: core.EnginePalrt, Seed: 1}
+	if !runsInline(&Job{Spec: cheap}, time.Minute) || runsInline(&Job{Spec: long}, time.Minute) {
+		t.Fatal("fixture: want the cheap job inline and the long one on the runner path")
+	}
+	a, err := q.Submit(cheap)
+	if err != nil {
+		t.Fatalf("Submit cheap: %v", err)
+	}
+	b, err := q.Submit(long)
+	if err != nil {
+		t.Fatalf("Submit long: %v", err)
+	}
+	release()
+	if _, err := a.Wait(context.Background()); err != nil {
+		t.Fatalf("cheap Wait: %v", err)
+	}
+	if st := b.Status(); st == StatusDone {
+		t.Fatal("cheap job was signalled only after the long run finished")
+	}
+	if _, err := b.Wait(context.Background()); err != nil {
+		t.Fatalf("long Wait: %v", err)
 	}
 }

@@ -36,6 +36,18 @@
 // same discipline internal/palrt applies to pal-threads — owner pops its
 // own deque, thieves take from the others — lifted from threads to jobs.
 //
+// # One way in
+//
+// Submit, SubmitFunc and the pooled Batch path reach the queue through
+// one admission function: assign the ID, serve a cached result, coalesce
+// a duplicate by chaining it onto the in-flight run, then enqueue or
+// refuse. Submit and SubmitFunc run it synchronously under the home
+// shard's lock, so admission refusals return from the call; a Batch
+// publishes its pooled frames to the shard's submit ring, and whoever
+// drains the ring runs the same function. Both spec routes first try one
+// shared lock-free cache probe. A coalesced Submit returns its own job,
+// which completes with the run it joined.
+//
 // # Priority classes
 //
 // Every job carries a Class, drawn from the queue's runtime class set

@@ -139,21 +139,13 @@ type Job struct {
 	cost CostEstimate
 
 	// pooled marks a frame borrowed from the batch frame arena
-	// (Batch.Submit): the ingest path skips ID retention for it and
+	// (Batch.Submit): admission skips ID retention for it and
 	// Batch.Release recycles it. notify, set before the frame is
 	// published, is the owning Batch, told once when the frame turns
 	// terminal. Both are fixed for the frame's flight, so they need no
 	// lock.
 	pooled bool
 	notify *Batch
-	// pinned marks a pooled frame that escaped its batch lifecycle — a
-	// single Submit returned it as a coalesced duplicate — so release
-	// must leave it to the GC instead of recycling it under the escaped
-	// holder. Set under the home shard's lock while the frame is still
-	// in the inflight map, which orders the pin before any release (the
-	// frame cannot be terminal, let alone settled and released, while
-	// inflight still maps to it).
-	pinned atomic.Bool
 	// touches counts live references held by the execution machinery
 	// (the dequeuing worker and its runner goroutine): runJob sets it
 	// before the deadline race can fork and each side drops its count
@@ -167,19 +159,15 @@ type Job struct {
 	err      error
 	started  time.Time
 	finished time.Time
-	// done is the completion channel, allocated lazily (doneChan) so the
-	// pooled submit path costs no allocation when nobody selects on the
+	// done is the completion channel, allocated lazily (doneChan) so a
+	// submission costs no channel allocation when nobody selects on the
 	// job; signaled records completion for waiters that arrive later.
-	// chained holds pooled frames coalesced onto this in-flight job;
-	// the completion flush completes them with this job's outcome.
+	// chained holds the duplicate submissions coalesced onto this
+	// in-flight job; the completion flush completes them with this job's
+	// outcome.
 	done     chan struct{}
 	signaled bool
 	chained  []*Job
-}
-
-func newJob(id uint64, name string, spec Spec, fn func(ctx context.Context) error, now time.Time) *Job {
-	return &Job{ID: id, Name: name, Spec: spec, fn: fn, submitted: now,
-		execShard: -1, stealFrom: -1, done: make(chan struct{})}
 }
 
 // Status returns the job's current state.
@@ -192,11 +180,10 @@ func (j *Job) Status() Status {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneChan() }
 
-// doneChan returns the completion channel, allocating it on first use.
-// Jobs built by newJob carry an eager channel; pooled batch frames defer
-// the allocation to here, so a batch that never selects on individual
-// jobs (Batch.Wait rides the batch token instead) pays nothing. A waiter
-// arriving after completion gets an already-closed channel.
+// doneChan returns the completion channel, allocating it on first use,
+// so a batch that never selects on individual jobs (Batch.Wait rides the
+// batch token instead) and a cache hit nobody waits on pay nothing. A
+// waiter arriving after completion gets an already-closed channel.
 func (j *Job) doneChan() chan struct{} {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -265,6 +252,12 @@ func (j *Job) markFinished(res Result, err error, now time.Time) bool {
 		return false
 	}
 	j.finished = now
+	if j.started.IsZero() {
+		// Never ran (chained onto a winner, refused, closed): like a
+		// cache serve it starts and finishes at once, so View reports
+		// its wait and a zero run time.
+		j.started = now
+	}
 	if err != nil {
 		j.status = StatusFailed
 		j.err = err

@@ -431,125 +431,32 @@ func (q *Queue) newID(idx int) uint64 {
 
 // Submit validates, admission-controls and enqueues an algorithm job on
 // the shard its key hashes to under the current placement epoch.
-// Duplicate requests are served without re-execution: a spec whose key is
-// already in flight returns the in-flight job (coalescing), and one whose
-// result is cached returns an already-completed job — guarantees that
-// hold across live resizes, because the coalescing entries and cached
-// results migrate with the keys.
+// Duplicate requests are served without re-execution: a spec whose
+// result is cached returns an already-completed job, and one whose key is
+// already in flight returns its own job chained onto the in-flight one
+// (coalescing) — it completes with that run's outcome. Guarantees hold
+// across live resizes, because the coalescing entries and cached results
+// migrate with the keys. Admission refusals (ErrQueueFull,
+// ErrDeadlineInfeasible, ErrClosed) return from the call.
 func (q *Queue) Submit(spec Spec) (*Job, error) {
 	class, err := q.prepare(&spec)
 	if err != nil {
 		return nil, err
 	}
+	j := &Job{Spec: spec, submitted: time.Now(), class: class, execShard: -1, stealFrom: -1}
 	key := spec.key()
-	// Lock-free cache-hit fast path: serve the hit from the home shard's
-	// immutable read index without touching its mutex. A hit that races
-	// an insert, eviction, resize migration or shutdown linearizes
-	// before it — the index snapshot was the cache's published contents,
-	// and cached results are immutable. Misses (index nil, caching off,
-	// key absent) fall through to the locked pipeline below.
-	if p := q.place.Load(); p != nil {
-		s := p.shardFor(key)
-		if idx := s.cacheIdx.Load(); idx != nil {
-			if e, ok := (*idx)[key]; ok {
-				now := time.Now()
-				// The entry's rendered name rides along so the hit does
-				// not re-render the spec.
-				job := &Job{ID: q.newID(s.idx), Name: e.name, Spec: spec,
-					submitted: now, class: class, execShard: -1, stealFrom: -1}
-				q.cacheHits.Add(1)
-				q.submitted.Add(1)
-				q.perClass[class].submitted.Add(1)
-				// Cached serves are near-instant and skip the latency
-				// samples; Wall reports the original run's cost.
-				job.completeCached(e.res, now)
-				if q.rec != nil {
-					q.recordServed(q.baseRecord(job), jobtrace.DispositionHit, s.idx, p.epoch)
-				}
-				return job, nil
-			}
-		}
+	if q.probeCache(j, key) {
+		return j, nil
 	}
-	var cost CostEstimate
 	if q.cal != nil {
 		// A policy consumes cost predictions: price the job once, up
 		// front (the estimate depends only on the spec).
-		cost = q.cal.estimate(spec, key.P)
+		j.cost = q.cal.estimate(spec, key.P)
 	}
-	for {
-		p := q.place.Load()
-		s := p.shardFor(key)
-		now := time.Now()
-		s.mu.Lock()
-		if s.retired {
-			// A resize is migrating this shard's keys; follow them.
-			s.mu.Unlock()
-			retryPlacement()
-			continue
-		}
-		if s.closed {
-			s.mu.Unlock()
-			q.rejected.Add(1)
-			q.perClass[class].rejected.Add(1)
-			return nil, ErrClosed
-		}
-		if e, ok := s.cache.get(key); ok {
-			// The locked twin of the fast path above, for hits the read
-			// index has not republished yet. Like the fast path, the hit
-			// job is not retained for Get/Jobs: the caller holds the only
-			// handle, matching the pooled batch hit semantics.
-			job := newJob(q.newID(s.idx), e.name, spec, nil, now)
-			job.class = class
-			s.mu.Unlock()
-			q.cacheHits.Add(1)
-			q.submitted.Add(1)
-			q.perClass[class].submitted.Add(1)
-			// Cached serves are near-instant and skip the latency samples;
-			// Wall in the result reports the original run's cost.
-			job.completeCached(e.res, now)
-			if q.rec != nil {
-				q.recordServed(q.baseRecord(job), jobtrace.DispositionHit, s.idx, p.epoch)
-			}
-			return job, nil
-		}
-		if dup, ok := s.inflight[key]; ok {
-			if dup.pooled {
-				// The pooled frame escapes its batch lifecycle: this
-				// caller holds it indefinitely, so it must never be
-				// recycled. Pinning under s.mu while the frame is still
-				// inflight orders the pin before any Release.
-				dup.pinned.Store(true)
-			}
-			s.mu.Unlock()
-			q.coalesced.Add(1)
-			if q.rec != nil {
-				// The record describes this submission — its own class
-				// and arrival — served by the in-flight job's ID.
-				rec := q.baseRecord(dup)
-				rec.ID = dup.ID
-				rec.Class = string(q.classes.specs[class].Name)
-				rec.SubmitNS = now.UnixNano()
-				q.recordServed(rec, jobtrace.DispositionCoalesce, s.idx, p.epoch)
-			}
-			return dup, nil
-		}
-		q.cacheMiss.Add(1)
-		job := newJob(q.newID(s.idx), spec.String(), spec, nil, now)
-		job.class = class
-		job.submitShard = s.idx
-		job.submitEpoch = p.epoch
-		job.cost = cost
-		if err := q.enqueueLocked(s, job, key); err != nil {
-			s.mu.Unlock()
-			if q.rec != nil && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineInfeasible)) {
-				q.recordRejected(job, s.idx, p.epoch, s.laneDepths[class])
-			}
-			return nil, err
-		}
-		s.mu.Unlock()
-		q.kickWorkers()
-		return job, nil
+	if err := q.admit(j); err != nil {
+		return nil, err
 	}
+	return j, nil
 }
 
 // SubmitFunc enqueues an arbitrary work item on the same pools, subject
@@ -562,9 +469,71 @@ func (q *Queue) SubmitFunc(name string, fn func(ctx context.Context) error) (*Jo
 	if fn == nil {
 		return nil, fmt.Errorf("jobqueue: nil func for %q", name)
 	}
+	j := &Job{Name: name, fn: fn, submitted: time.Now(), execShard: -1, stealFrom: -1}
+	if err := q.admit(j); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// probeCache is the lock-free cache-hit fast path shared by Submit and
+// Batch.Submit: it serves j from its home shard's immutable read index
+// without touching the shard mutex and reports whether it did. A hit that
+// races an insert, eviction, resize migration or shutdown linearizes
+// before it — the index snapshot was the cache's published contents, and
+// cached results are immutable. Misses (index nil, caching off, key
+// absent) fall through to admission under the lock.
+func (q *Queue) probeCache(j *Job, key Key) bool {
+	p := q.place.Load()
+	s := p.shardFor(key)
+	idx := s.cacheIdx.Load()
+	if idx == nil {
+		return false
+	}
+	e, ok := (*idx)[key]
+	if !ok {
+		return false
+	}
+	q.serveCached(s.idx, p.epoch, j, e, j.submitted)
+	return true
+}
+
+// serveCached completes j from a cached result on its home shard. Cache
+// serves are near-instant: they skip the latency samples, are not
+// retained for Get/Jobs (the caller holds the only handle), and report
+// the original run's Wall.
+func (q *Queue) serveCached(shard int, epoch uint64, j *Job, e cached, now time.Time) {
+	j.ID = q.newID(shard)
+	j.submitShard = shard
+	j.submitEpoch = epoch
+	if j.Name == "" {
+		j.Name = e.name // rendered at settle; the hit renders nothing
+	}
+	q.cacheHits.Add(1)
+	q.submitted.Add(1)
+	q.perClass[j.class].submitted.Add(1)
+	if q.rec != nil {
+		// Record before completing: completion signals a pooled frame's
+		// batch, whose Release may recycle the frame while a later record
+		// construction would still be reading it.
+		q.recordServed(q.baseRecord(j), jobtrace.DispositionHit, shard, epoch)
+	}
+	j.completeCached(e.res, now)
+}
+
+// admit locks j's home shard under the current placement table and runs
+// admitLocked there: the synchronous entry of Submit and SubmitFunc. A
+// shard caught mid-retirement is followed to the new table; a closed one
+// refuses with ErrClosed.
+func (q *Queue) admit(j *Job) error {
 	for {
 		p := q.place.Load()
-		s := p.shardForName(name)
+		var s *shard
+		if j.fn == nil {
+			s = p.shardFor(j.Spec.key())
+		} else {
+			s = p.shardForName(j.Name)
+		}
 		s.mu.Lock()
 		if s.retired {
 			s.mu.Unlock()
@@ -574,34 +543,94 @@ func (q *Queue) SubmitFunc(name string, fn func(ctx context.Context) error) (*Jo
 		if s.closed {
 			s.mu.Unlock()
 			q.rejected.Add(1)
-			return nil, ErrClosed
+			q.perClass[j.class].rejected.Add(1)
+			return ErrClosed
 		}
-		job := newJob(q.newID(s.idx), name, Spec{}, fn, time.Now())
-		job.submitShard = s.idx
-		job.submitEpoch = p.epoch
-		if err := q.enqueueLocked(s, job, Key{}); err != nil {
-			s.mu.Unlock()
-			if q.rec != nil && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineInfeasible)) {
-				q.recordRejected(job, s.idx, p.epoch, s.laneDepths[job.class])
-			}
-			return nil, err
-		}
+		err := q.admitLocked(s, p.epoch, j)
 		s.mu.Unlock()
-		q.kickWorkers()
-		return job, nil
+		if err == nil {
+			q.kickWorkers()
+		}
+		return err
 	}
 }
 
-// enqueueLocked admits a job to its class's run queue on shard s; the
-// caller holds s.mu. The admission bound is the lane counter, not the
-// channel (which a resize may have sized larger to hold a migrated
-// backlog); the non-blocking send is a backstop that cannot fire while
-// the counter invariant holds.
+// admitLocked is the one admission pipeline every submit route runs:
+// Submit and SubmitFunc through admit, ring-published batch frames at
+// drain, and Resize re-homing a sealed ring backlog. It assigns the ID,
+// serves a cache hit, coalesces a duplicate by chaining j onto the
+// in-flight winner (the winner's flush completes it after the cache
+// holds the result), and otherwise enqueues j or refuses it — a refusal
+// turns j terminal in place, is recorded, and is returned. Func jobs
+// carry no key and skip the cache and coalescing steps.
+//
+// The caller holds s.mu with the shard neither retired nor closed, or
+// owns s exclusively (Resize's still-unpublished table). The spec was
+// validated by prepare.
+func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) error {
+	now := time.Now()
+	var key Key
+	if j.fn == nil {
+		key = j.Spec.key()
+		if e, ok := s.cache.get(key); ok {
+			q.serveCached(s.idx, epoch, j, e, now)
+			return nil
+		}
+	}
+	j.ID = q.newID(s.idx)
+	j.submitShard = s.idx
+	j.submitEpoch = epoch
+	if j.Name == "" && (q.rec != nil || !j.pooled) {
+		// Only a tracing queue or a retained job pays for the rendered
+		// name; the untraced pooled frame stays allocation-free.
+		j.Name = j.Spec.String()
+	}
+	if j.fn == nil {
+		if dup, ok := s.inflight[key]; ok {
+			q.coalesced.Add(1)
+			if q.rec != nil {
+				// The record describes this submission — its own class
+				// and arrival — served by the in-flight job's ID.
+				rec := q.baseRecord(dup)
+				rec.Class = string(q.classes.specs[j.class].Name)
+				rec.SubmitNS = now.UnixNano()
+				q.recordServed(rec, jobtrace.DispositionCoalesce, s.idx, epoch)
+			}
+			if !j.pooled {
+				s.insertLocked(j)
+			}
+			// The winner is still in inflight under a live s.mu, so its
+			// flush has not reached phase 1 and phase 2 will drain the
+			// chain — even when the winner is already terminal.
+			dup.mu.Lock()
+			dup.chained = append(dup.chained, j)
+			dup.mu.Unlock()
+			return nil
+		}
+		q.cacheMiss.Add(1)
+	}
+	err := q.enqueueLocked(s, j, key)
+	if err != nil {
+		q.rejected.Add(1)
+		q.perClass[j.class].rejected.Add(1)
+		if q.rec != nil {
+			q.recordRejected(j, s.idx, epoch, s.laneDepths[j.class])
+		}
+		j.markFinished(Result{}, err, now)
+		j.signalDone()
+	}
+	return err
+}
+
+// enqueueLocked admits a job to its class's run queue on shard s, or
+// returns the refusal for admitLocked to record; the caller holds s.mu.
+// The admission bound is the lane counter, not the channel (which a
+// resize may have sized larger to hold a migrated backlog); the
+// non-blocking send is a backstop that cannot fire while the counter
+// invariant holds.
 func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	used := s.laneUsed[job.class].Load()
 	if used >= int64(s.laneDepths[job.class]) {
-		q.rejected.Add(1)
-		q.perClass[job.class].rejected.Add(1)
 		return ErrQueueFull
 	}
 	if q.adm != nil {
@@ -617,8 +646,6 @@ func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 			Now:       job.submitted,
 		})
 		if err != nil {
-			q.rejected.Add(1)
-			q.perClass[job.class].rejected.Add(1)
 			return err
 		}
 	}
@@ -628,8 +655,6 @@ func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	select {
 	case s.runq[job.class] <- job:
 	default:
-		q.rejected.Add(1)
-		q.perClass[job.class].rejected.Add(1)
 		return ErrQueueFull
 	}
 	s.laneUsed[job.class].Add(1)
@@ -649,77 +674,6 @@ func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	return nil
 }
 
-// ingestLocked runs the admission pipeline of Submit for one
-// ring-published frame: ID assignment, cache lookup, coalescing, enqueue.
-// The caller either holds s.mu with the shard neither retired nor closed
-// (a draining worker or a help-draining Batch.Submit) or owns the shard
-// exclusively (Resize re-homing a sealed backlog onto an unpublished
-// table). The frame's spec was validated and defaulted at Batch.Submit;
-// failures here (admission control) turn the frame terminal in place.
-func (q *Queue) ingestLocked(s *shard, epoch uint64, j *Job) {
-	now := time.Now()
-	key := j.Spec.key()
-	j.ID = q.newID(s.idx)
-	j.submitShard = s.idx
-	j.submitEpoch = epoch
-	if q.rec != nil && j.Name == "" {
-		// Only a tracing queue pays for the rendered name; the untraced
-		// hot path keeps the frame allocation-free.
-		j.Name = j.Spec.String()
-	}
-	if e, ok := s.cache.get(key); ok {
-		if j.Name == "" {
-			j.Name = e.name // already rendered at settle
-		}
-		q.cacheHits.Add(1)
-		q.submitted.Add(1)
-		q.perClass[j.class].submitted.Add(1)
-		if q.rec != nil {
-			// Record before completing: completeCached signals the
-			// owning batch, whose Release may recycle the frame while a
-			// later record construction would still be reading it.
-			q.recordServed(q.baseRecord(j), jobtrace.DispositionHit, s.idx, epoch)
-		}
-		j.completeCached(e.res, now)
-		return
-	}
-	if dup, ok := s.inflight[key]; ok {
-		q.coalesced.Add(1)
-		if q.rec != nil {
-			rec := q.baseRecord(dup)
-			rec.ID = dup.ID
-			rec.Class = string(q.classes.specs[j.class].Name)
-			rec.SubmitNS = now.UnixNano()
-			q.recordServed(rec, jobtrace.DispositionCoalesce, s.idx, epoch)
-		}
-		dup.mu.Lock()
-		if dup.status == StatusDone || dup.status == StatusFailed {
-			// The in-flight winner finished but has not settled yet (it
-			// is terminal while still in the map only inside the
-			// finish→settle window, and settle's chained drain may
-			// already have run): serve its outcome directly.
-			res, err := dup.result, dup.err
-			dup.mu.Unlock()
-			j.markFinished(res, err, now)
-			j.signalDone()
-			return
-		}
-		// Chain the frame onto the in-flight winner; settle completes it
-		// with the winner's outcome after the cache holds it.
-		dup.chained = append(dup.chained, j)
-		dup.mu.Unlock()
-		return
-	}
-	q.cacheMiss.Add(1)
-	if err := q.enqueueLocked(s, j, key); err != nil {
-		if q.rec != nil && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineInfeasible)) {
-			q.recordRejected(j, s.idx, epoch, s.laneDepths[j.class])
-		}
-		j.markFinished(Result{}, err, now)
-		j.signalDone()
-	}
-}
-
 // drainRingLocked ingests every frame currently published on s's submit
 // ring, bounded to one full lap so a concurrent publisher cannot pin the
 // drainer. The caller holds s.mu with the shard neither retired nor
@@ -731,7 +685,7 @@ func (q *Queue) drainRingLocked(p *placement, s *shard) int {
 		if j == nil {
 			break
 		}
-		q.ingestLocked(s, p.epoch, j)
+		q.admitLocked(s, p.epoch, j)
 		n++
 	}
 	return n

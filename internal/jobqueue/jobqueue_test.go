@@ -213,19 +213,39 @@ func TestCoalescingSharesOneRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("duplicate in-flight submits returned distinct jobs")
+	// The duplicate is its own job, chained onto the in-flight one: a
+	// distinct ID, queryable by Get like any admitted job.
+	if a == b || a.ID == b.ID {
+		t.Fatal("coalesced submit returned the in-flight job instead of its own")
+	}
+	if got, ok := q.Get(b.ID); !ok || got != b {
+		t.Fatal("coalesced job not retained for Get")
 	}
 	close(release)
 	if _, err := blocker.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Wait(context.Background()); err != nil {
+	resA, err := a.Wait(context.Background())
+	if err != nil {
 		t.Fatal(err)
+	}
+	resB, err := b.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resA != resB {
+		t.Fatalf("coalesced result %+v != winner's %+v", resB, resA)
 	}
 	m := q.Snapshot()
 	if m.Coalesced != 1 {
 		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
+	}
+	// One run for the spec (plus the blocker func).
+	if m.Completed != 2 {
+		t.Fatalf("completed = %d, want 2 (the spec ran once)", m.Completed)
+	}
+	if v := b.View(); v.RunMS != 0 || v.Status != StatusDone {
+		t.Fatalf("coalesced view: status %v run_ms %v, want done with zero run time", v.Status, v.RunMS)
 	}
 }
 

@@ -241,7 +241,7 @@ func (q *Queue) Resize(n int) (uint64, error) {
 			}
 		}
 	}
-	// Re-home the sealed ring backlog through the full ingest pipeline on
+	// Re-home the sealed ring backlog through the admission pipeline on
 	// the new (still unpublished, so lock-free) shards: the frames were
 	// published but never admitted, so they go through cache, coalescing
 	// and admission control like any fresh arrival — after the migrated
@@ -251,7 +251,7 @@ func (q *Queue) Resize(n int) (uint64, error) {
 	// admission control (ErrQueueFull), exactly as if it had drained
 	// pre-resize.
 	for _, j := range ringBacklog {
-		q.ingestLocked(shards[shardIndexFor(j.Spec.key(), n)], old.epoch+1, j)
+		q.admitLocked(shards[shardIndexFor(j.Spec.key(), n)], old.epoch+1, j)
 	}
 	// Publish each new shard's lock-free read index now that its cache
 	// holds the full migrated (plus re-ingested) contents, so fast-path

@@ -179,8 +179,11 @@ func TestResizeCoalescesDuplicateAcrossMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dup != orig {
+	if q.Snapshot().Coalesced != 1 {
 		t.Fatal("duplicate submitted across the resize did not coalesce onto the migrated in-flight job")
+	}
+	if got, ok := q.Get(dup.ID); !ok || got != dup {
+		t.Fatal("coalesced job not retained for Get")
 	}
 
 	close(release)
@@ -189,8 +192,16 @@ func TestResizeCoalescesDuplicateAcrossMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := orig.Wait(context.Background()); err != nil {
+	origRes, err := orig.Wait(context.Background())
+	if err != nil {
 		t.Fatal(err)
+	}
+	dupRes, err := dup.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dupRes != origRes {
+		t.Fatalf("coalesced result %+v != winner's %+v", dupRes, origRes)
 	}
 	cached, err := q.Submit(spec)
 	if err != nil {
@@ -337,7 +348,7 @@ func TestResizeKeepsAdmissionBound(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	for _, name := range pinnedNames(0, 2, 2) {
+	for _, name := range namesOnShard(0, 2, 2) {
 		if _, err := q.SubmitFunc(name, func(context.Context) error { <-release; return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -345,13 +356,13 @@ func TestResizeKeepsAdmissionBound(t *testing.T) {
 	waitRunning(t, q, 2)
 
 	// Fill shard 1's interactive lane (per-shard depth 2) to the brim.
-	queued := pinnedNames(1, 2, 2)
+	queued := namesOnShard(1, 2, 2)
 	for _, name := range queued {
 		if _, err := q.SubmitFunc(name, func(context.Context) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := q.SubmitFunc(pinnedNames(1, 2, 3)[2], func(context.Context) error { return nil }); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.SubmitFunc(namesOnShard(1, 2, 3)[2], func(context.Context) error { return nil }); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("pre-resize overflow: err = %v, want ErrQueueFull", err)
 	}
 

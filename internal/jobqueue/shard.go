@@ -37,7 +37,7 @@ type shard struct {
 	// ring is the shard's bounded MPSC submit ring: Batch.Submit
 	// publishes pooled frames here without taking mu, and whoever holds
 	// mu (a worker between dequeues, or a publisher helping out on a
-	// full ring) drains them through the ingest pipeline. Sealed — and
+	// full ring) drains them through admitLocked. Sealed — and
 	// its backlog re-homed — when the shard is retired or closed.
 	ring *submitRing
 
@@ -625,11 +625,18 @@ func (q *Queue) executeRun(t runTask) {
 // concurrency. The finished job's settle work is deferred to the
 // worker's completion buffer (bufferCompletion/flushCompletions).
 func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
-	if job.fn != nil {
-		// Publish buffered completions before running arbitrary code: a
-		// func job may Submit a key whose unflushed winner sits in this
-		// very buffer and Wait on it, which would deadlock — the terminal
-		// job only signals at its owning flush.
+	timeout := q.cfg.DefaultTimeout
+	if job.Spec.Timeout > 0 {
+		timeout = job.Spec.Timeout
+	}
+	inline := runsInline(job, timeout)
+	if !inline {
+		// Publish buffered completions before any run not predicted
+		// cheap: their waiters (and the duplicates chained onto them)
+		// must not sit behind an unrelated long run. For a func job it
+		// is also deadlock avoidance — the func may Submit a key whose
+		// unflushed winner sits in this very buffer and Wait on it, and
+		// a terminal job only signals at its owning flush.
 		q.flushCompletions(ws)
 	}
 	q.pending.Add(-1)
@@ -644,11 +651,6 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 	if owner.idx != homeIdx {
 		job.stealFrom = owner.idx
 	}
-	timeout := q.cfg.DefaultTimeout
-	if job.Spec.Timeout > 0 {
-		timeout = job.Spec.Timeout
-	}
-	inline := runsInline(job, timeout)
 
 	if job.pooled {
 		// Live references from here: this worker, plus the runner

@@ -62,12 +62,12 @@ func TestShardPlacementDeterminism(t *testing.T) {
 	}
 }
 
-// pinnedNames returns count distinct func-job names that all hash to the
+// namesOnShard returns count distinct func-job names that all hash to the
 // given shard of a shards-way queue.
-func pinnedNames(shard, shards, count int) []string {
+func namesOnShard(shard, shards, count int) []string {
 	names := make([]string, 0, count)
 	for i := 0; len(names) < count; i++ {
-		name := fmt.Sprintf("pinned-%d", i)
+		name := fmt.Sprintf("on-shard-%d", i)
 		if int(hashString(name)%uint64(shards)) == shard {
 			names = append(names, name)
 		}
@@ -75,7 +75,7 @@ func pinnedNames(shard, shards, count int) []string {
 	return names
 }
 
-// TestCrossShardStealing: jobs pinned to one shard of a 4-shard queue are
+// TestCrossShardStealing: jobs placed on one shard of a 4-shard queue are
 // drained by the other shards' idle workers. Run it with -race: the steal
 // path crosses shard boundaries on every hand-off.
 func TestCrossShardStealing(t *testing.T) {
@@ -84,7 +84,7 @@ func TestCrossShardStealing(t *testing.T) {
 
 	const n = 12
 	jobs := make([]*Job, 0, n)
-	for _, name := range pinnedNames(1, 4, n) {
+	for _, name := range namesOnShard(1, 4, n) {
 		job, err := q.SubmitFunc(name, func(context.Context) error {
 			time.Sleep(3 * time.Millisecond)
 			return nil
@@ -310,11 +310,11 @@ func TestShardedEndToEnd(t *testing.T) {
 	}
 }
 
-// pinnedSpecs returns count distinct reduce/sim specs of size n whose
+// specsOnShard returns count distinct reduce/sim specs of size n whose
 // keys all hash to the given shard of a shards-way table, in the given
 // priority class. Distinct n per class keeps the keys disjoint (Priority
 // is not part of the key, so equal keys would coalesce across classes).
-func pinnedSpecs(shard, shards, count, n int, class Class) []Spec {
+func specsOnShard(shard, shards, count, n int, class Class) []Spec {
 	specs := make([]Spec, 0, count)
 	for seed := uint64(0); len(specs) < count; seed++ {
 		spec := Spec{Algorithm: "reduce", N: n, P: 2, Engine: core.EngineSim, Seed: seed, Priority: class}
@@ -326,7 +326,7 @@ func pinnedSpecs(shard, shards, count, n int, class Class) []Spec {
 }
 
 // TestStolenWorkStrictClassFirst is the class-aware steal regression
-// test: a backlog of batch and interactive jobs pinned to one shard is
+// test: a backlog of batch and interactive jobs placed on one shard is
 // drained by workers sweeping from elsewhere, and the sweep must follow
 // the dequeue discipline — every strict (interactive) job starts before
 // any weighted (batch) job, whether it was served from the home lane or
@@ -335,11 +335,11 @@ func TestStolenWorkStrictClassFirst(t *testing.T) {
 	q := New(Config{Workers: 2, Shards: 2, QueueDepth: 64, CacheSize: -1})
 	defer q.Close()
 
-	// Hold both workers so the pinned backlog accumulates unserved; the
+	// Hold both workers so the one-shard backlog accumulates unserved; the
 	// blockers hash to shard 0 so shard 1's executed count stays the
 	// spec jobs'.
 	release := make(chan struct{})
-	for _, name := range pinnedNames(0, 2, 2) {
+	for _, name := range namesOnShard(0, 2, 2) {
 		if _, err := q.SubmitFunc(name, func(context.Context) error { <-release; return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -355,14 +355,14 @@ func TestStolenWorkStrictClassFirst(t *testing.T) {
 	// Batch first into shard 1's lanes, interactive after — submission
 	// order must not leak into dequeue order.
 	var jobs []*Job
-	for _, spec := range pinnedSpecs(1, 2, 3, 96, ClassBatch) {
+	for _, spec := range specsOnShard(1, 2, 3, 96, ClassBatch) {
 		job, err := q.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, job)
 	}
-	for _, spec := range pinnedSpecs(1, 2, 3, 128, ClassInteractive) {
+	for _, spec := range specsOnShard(1, 2, 3, 128, ClassInteractive) {
 		job, err := q.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -394,6 +394,6 @@ func TestStolenWorkStrictClassFirst(t *testing.T) {
 	}
 	m := q.Snapshot()
 	if m.PerShard[1].Executed != 6 {
-		t.Errorf("pinned shard executed %d, want 6", m.PerShard[1].Executed)
+		t.Errorf("target shard executed %d, want 6", m.PerShard[1].Executed)
 	}
 }

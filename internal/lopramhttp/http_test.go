@@ -3,6 +3,7 @@ package lopramhttp
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -306,5 +307,61 @@ func TestSubmitWait(t *testing.T) {
 	}
 	if view.Status != "done" || view.Result == nil {
 		t.Fatalf("view = %+v, want done with result", view)
+	}
+}
+
+// TestSubmitCoalescedOwnID: a POST /v1/jobs whose spec is already in
+// flight answers 202 with its own job id, and that id resolves at
+// GET /v1/jobs/{id} to the shared run's result.
+func TestSubmitCoalescedOwnID(t *testing.T) {
+	q := jobqueue.New(jobqueue.Config{Workers: 1})
+	t.Cleanup(q.Close)
+	srv := httptest.NewServer(NewMux(q))
+	t.Cleanup(srv.Close)
+	// Hold the only worker so the first submission stays in flight.
+	release := make(chan struct{})
+	blocker, err := q.SubmitFunc("blocker", func(context.Context) error { <-release; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spec = `{"algorithm":"reduce","n":64,"p":2,"engine":"sim","seed":4}`
+	type view struct {
+		ID     uint64           `json:"id"`
+		Status string           `json:"status"`
+		Result *jobqueue.Result `json:"result"`
+	}
+	submit := func() view {
+		resp := postJSON(t, srv.URL+"/v1/jobs", spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("status = %d, want 202", resp.StatusCode)
+		}
+		var v view
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	first, dup := submit(), submit()
+	if dup.ID == first.ID {
+		t.Fatalf("coalesced submission answered with the in-flight job's id %d", first.ID)
+	}
+	close(release)
+	if _, err := blocker.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d?wait=1", srv.URL, dup.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got view
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || got.Status != "done" || got.Result == nil {
+		t.Fatalf("GET coalesced id: status %d, view %+v, want 200 done with result", resp.StatusCode, got)
+	}
+	if m := q.Snapshot(); m.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
 	}
 }

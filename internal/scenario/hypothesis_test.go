@@ -1,14 +1,18 @@
 package scenario
 
 // The policy-hypothesis suite: executable checks of the scheduling
-// claims the policy layer is built on. Each hypothesis is asserted
-// strictly, per seed, on deterministic job streams (only placement and
-// timing vary between replays):
+// claims the policy layer is built on, on deterministic job streams (only
+// placement and timing vary between replays). What a policy decides —
+// who is served and in what order — is asserted exactly, per seed; what
+// that buys in wall-clock outcomes is compared where the host's load
+// cannot flip it:
 //
 //   - liveness: below saturation, every policy serves every submission —
 //     nothing is starved, rejected or timed out;
-//   - SJF beats FCFS on mean wait under a heavy-tailed size mix;
-//   - EDF beats FCFS and the native discipline on response-time deadline
+//   - SJF runs queued small jobs before large ones, and so beats FCFS on
+//     mean wait under a heavy-tailed size mix;
+//   - EDF never starts relaxed work while urgent work is queued, and so
+//     beats FCFS and the native discipline on response-time deadline
 //     misses when urgent and relaxed traffic share one queue.
 //
 // The workloads are sized so the differentiation is structural (orders
@@ -17,6 +21,8 @@ package scenario
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -110,12 +116,47 @@ func meanExecutedWait(t *testing.T, recs []jobtrace.Record) float64 {
 	return sum / float64(n)
 }
 
+// orderViolations checks a policy's deterministic ordering promise on
+// one worker's trace: no job outside the favored set (favored false)
+// starts while a favored job is queued. Executed records are walked in
+// start order (one worker: start order is dequeue order). Job IDs are
+// assigned under the shard lock at admission, so by the time the k-th
+// job starts, every job with an ID below the largest ID started so far
+// is provably admitted. An unfavored start that leaves such a favored job
+// waiting is a violation; the returned strings name each one.
+func orderViolations(recs []jobtrace.Record, favored func(jobtrace.Record) bool) []string {
+	var runs []jobtrace.Record
+	for _, r := range recs {
+		if r.Executed() {
+			runs = append(runs, r)
+		}
+	}
+	sort.Slice(runs, func(a, b int) bool { return runs[a].StartNS < runs[b].StartNS })
+	var bad []string
+	var maxID uint64
+	for k, r := range runs {
+		maxID = max(maxID, r.ID)
+		if favored(r) {
+			continue
+		}
+		for _, f := range runs[k+1:] {
+			if favored(f) && f.ID < maxID {
+				bad = append(bad, fmt.Sprintf("%s (id %d) started while %s (id %d) was queued", r.Key, r.ID, f.Key, f.ID))
+			}
+		}
+	}
+	return bad
+}
+
 // TestHypothesisSJFBeatsFCFSMeanWait: on a heavy-tailed mix — many
 // small reductions, a few sorts three orders of magnitude larger — the
-// predicted-cost SJF policy must deliver a strictly lower mean wait
-// than FCFS, per seed. This is the classic SJF claim: under FCFS the
-// small jobs queue behind whichever giant arrived first; SJF runs the
-// cheap work first and the giants absorb the wait instead.
+// predicted-cost SJF policy runs the cheap work first: per seed, no sort
+// starts while a reduction is queued (orderViolations). Under FCFS the
+// small jobs queue behind whichever giant arrived first, so SJF must
+// deliver a strictly lower mean wait. With closed-loop clients the
+// arrival pattern follows the service order, so one seed's means can
+// land either way on a loaded host; the mean comparison is made over
+// all seeds together.
 func TestHypothesisSJFBeatsFCFSMeanWait(t *testing.T) {
 	base := Spec{
 		Name:      "sjf-heavy-tail",
@@ -131,6 +172,8 @@ func TestHypothesisSJFBeatsFCFSMeanWait(t *testing.T) {
 		Workers: 1,
 		Shards:  1,
 	}
+	small := func(r jobtrace.Record) bool { return r.Algorithm == "reduce" }
+	var fcfsSum, sjfSum float64
 	for _, seed := range hypothesisSeeds {
 		sp := deepCopy(base)
 		sp.Seed = seed
@@ -138,12 +181,17 @@ func TestHypothesisSJFBeatsFCFSMeanWait(t *testing.T) {
 		sp = deepCopy(base)
 		sp.Seed = seed
 		_, sjfRecs := runPolicyReplay(t, sp, "sjf")
+		for _, v := range orderViolations(sjfRecs, small) {
+			t.Errorf("seed %d: SJF %s", seed, v)
+		}
 		fcfs := meanExecutedWait(t, fcfsRecs)
 		sjf := meanExecutedWait(t, sjfRecs)
+		fcfsSum += fcfs
+		sjfSum += sjf
 		t.Logf("seed %d: mean executed wait fcfs %.2fms, sjf %.2fms", seed, fcfs, sjf)
-		if sjf >= fcfs {
-			t.Errorf("seed %d: SJF mean wait %.2fms not below FCFS %.2fms on a heavy tail", seed, sjf, fcfs)
-		}
+	}
+	if sjfSum >= fcfsSum {
+		t.Errorf("SJF mean wait %.2fms not below FCFS %.2fms on a heavy tail (summed over seeds)", sjfSum, fcfsSum)
 	}
 }
 
@@ -173,14 +221,37 @@ func deadlineMisses(t *testing.T, recs []jobtrace.Record, deadlines map[string]t
 	return misses
 }
 
+// orderDecides reports whether deadline misses on an EDF trace are
+// decided by service order rather than by host speed: an urgent job
+// that waits out the slowest relaxed run and one urgent run per client
+// still fits its deadline. Under EDF no urgent job waits longer than
+// that, so on a host (or a race-instrumented build) too slow for the
+// bound, every policy misses alike and the counts say nothing.
+func orderDecides(recs []jobtrace.Record, clients int, deadline time.Duration) bool {
+	var relaxedMS, urgentMS float64
+	for _, r := range recs {
+		switch {
+		case !r.Executed():
+		case r.Class == "urgent":
+			urgentMS = max(urgentMS, r.RunMS)
+		default:
+			relaxedMS = max(relaxedMS, r.RunMS)
+		}
+	}
+	return (relaxedMS+float64(clients)*urgentMS)*float64(time.Millisecond) < float64(deadline)
+}
+
 // TestHypothesisEDFBeatsFCFSAndDefaultOnMisses: when urgent traffic
 // (tight per-class deadline, tiny jobs) shares one worker with relaxed
-// traffic (loose deadline, jobs two orders heavier), EDF must produce
-// strictly fewer response-time deadline misses than FCFS and than the
-// native weighted discipline, per seed. FCFS makes urgent jobs wait out
-// the full backlog; the native DWRR gives the urgent class only its
-// weight share; EDF serves whatever deadline expires first, so urgent
-// jobs overtake every queued sort and at most await one residual run.
+// traffic (loose deadline, jobs two orders heavier), EDF serves whatever
+// deadline expires first, so an urgent job overtakes every queued sort
+// and at most awaits one residual run. The ordering is asserted exactly
+// from the trace (orderViolations), per seed. Response-time deadline
+// misses also depend on host speed, so they are compared only where the
+// baseline misses at all and order decides (orderDecides): there EDF
+// must miss strictly fewer than FCFS (urgent jobs wait out the full
+// backlog) and than the native weighted discipline (the urgent class
+// gets only its weight share).
 func TestHypothesisEDFBeatsFCFSAndDefaultOnMisses(t *testing.T) {
 	const urgentDeadline = 75 * time.Millisecond
 	const relaxedDeadline = 30 * time.Second
@@ -206,18 +277,29 @@ func TestHypothesisEDFBeatsFCFSAndDefaultOnMisses(t *testing.T) {
 		Shards:  1,
 	}
 	for _, seed := range hypothesisSeeds {
-		missesOf := func(policy string) int {
+		replay := func(policy string) []jobtrace.Record {
 			sp := deepCopy(base)
 			sp.Seed = seed
 			_, recs := runPolicyReplay(t, sp, policy)
-			return deadlineMisses(t, recs, deadlines)
+			return recs
 		}
-		edf, fcfs, def := missesOf("edf"), missesOf("fcfs"), missesOf("default")
+		edfRecs := replay("edf")
+		urgent := func(r jobtrace.Record) bool { return r.Class == "urgent" }
+		for _, v := range orderViolations(edfRecs, urgent) {
+			t.Errorf("seed %d: EDF %s", seed, v)
+		}
+		edf := deadlineMisses(t, edfRecs, deadlines)
+		fcfs := deadlineMisses(t, replay("fcfs"), deadlines)
+		def := deadlineMisses(t, replay("default"), deadlines)
 		t.Logf("seed %d: deadline misses edf %d, fcfs %d, default %d", seed, edf, fcfs, def)
-		if edf >= fcfs {
+		if !orderDecides(edfRecs, base.Clients, urgentDeadline) {
+			t.Logf("seed %d: runs too slow on this host for the urgent deadline; misses not compared", seed)
+			continue
+		}
+		if fcfs > 0 && edf >= fcfs {
 			t.Errorf("seed %d: EDF misses %d not below FCFS %d", seed, edf, fcfs)
 		}
-		if edf >= def {
+		if def > 0 && edf >= def {
 			t.Errorf("seed %d: EDF misses %d not below the native discipline's %d", seed, edf, def)
 		}
 	}
