@@ -183,11 +183,7 @@ func (b *Batch) SubmitSpec(spec *Spec) error {
 		switch {
 		case s.closed:
 			s.mu.Unlock()
-			q.rejected.Add(1)
-			q.perClass[class].rejected.Add(1)
-			j.markFinished(Result{}, ErrClosed, now)
-			j.signalDone()
-			return ErrClosed
+			return q.refuseClosed(j, now)
 		case s.retired:
 			s.mu.Unlock()
 			retryPlacement()

@@ -369,10 +369,7 @@ func (q *Queue) Close() {
 	// here — no frame is silently dropped, so every Batch.Wait returns.
 	for _, s := range p.shards {
 		for _, j := range s.ring.seal() {
-			q.rejected.Add(1)
-			q.perClass[j.class].rejected.Add(1)
-			j.markFinished(Result{}, ErrClosed, time.Now())
-			j.signalDone()
+			q.refuseClosed(j, time.Now())
 		}
 	}
 	if q.deq == nil {
@@ -542,17 +539,26 @@ func (q *Queue) admit(j *Job) error {
 		}
 		if s.closed {
 			s.mu.Unlock()
-			q.rejected.Add(1)
-			q.perClass[j.class].rejected.Add(1)
-			return ErrClosed
+			return q.refuseClosed(j, time.Now())
 		}
-		err := q.admitLocked(s, p.epoch, j)
+		queued, err := q.admitLocked(s, p.epoch, j)
 		s.mu.Unlock()
-		if err == nil {
+		if queued {
 			q.kickWorkers()
 		}
 		return err
 	}
+}
+
+// refuseClosed records a submission refused because the queue shut down
+// and turns j terminal with ErrClosed: the one closed-refusal path of
+// admit, Batch.SubmitSpec and Close's ring seal.
+func (q *Queue) refuseClosed(j *Job, now time.Time) error {
+	q.rejected.Add(1)
+	q.perClass[j.class].rejected.Add(1)
+	j.markFinished(Result{}, ErrClosed, now)
+	j.signalDone()
+	return ErrClosed
 }
 
 // admitLocked is the one admission pipeline every submit route runs:
@@ -561,20 +567,22 @@ func (q *Queue) admit(j *Job) error {
 // serves a cache hit, coalesces a duplicate by chaining j onto the
 // in-flight winner (the winner's flush completes it after the cache
 // holds the result), and otherwise enqueues j or refuses it — a refusal
-// turns j terminal in place, is recorded, and is returned. Func jobs
-// carry no key and skip the cache and coalescing steps.
+// turns j terminal in place, is recorded, and is returned. queued reports
+// whether j entered a run queue: a hit or a coalesce gives the workers
+// nothing new. Func jobs carry no key and skip the cache and coalescing
+// steps.
 //
 // The caller holds s.mu with the shard neither retired nor closed, or
 // owns s exclusively (Resize's still-unpublished table). The spec was
 // validated by prepare.
-func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) error {
+func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) (queued bool, err error) {
 	now := time.Now()
 	var key Key
 	if j.fn == nil {
 		key = j.Spec.key()
 		if e, ok := s.cache.get(key); ok {
 			q.serveCached(s.idx, epoch, j, e, now)
-			return nil
+			return false, nil
 		}
 	}
 	j.ID = q.newID(s.idx)
@@ -605,12 +613,11 @@ func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) error {
 			dup.mu.Lock()
 			dup.chained = append(dup.chained, j)
 			dup.mu.Unlock()
-			return nil
+			return false, nil
 		}
 		q.cacheMiss.Add(1)
 	}
-	err := q.enqueueLocked(s, j, key)
-	if err != nil {
+	if err = q.enqueueLocked(s, j, key); err != nil {
 		q.rejected.Add(1)
 		q.perClass[j.class].rejected.Add(1)
 		if q.rec != nil {
@@ -618,8 +625,9 @@ func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) error {
 		}
 		j.markFinished(Result{}, err, now)
 		j.signalDone()
+		return false, err
 	}
-	return err
+	return true, nil
 }
 
 // enqueueLocked admits a job to its class's run queue on shard s, or
