@@ -779,14 +779,15 @@ func BenchmarkJobQueueResize(b *testing.B) {
 	})
 }
 
-// BenchmarkJobQueuePolicies prices the pluggable dequeue policies across
-// the (policy, shards) matrix with the same concurrent-submitter load as
-// BenchmarkJobQueueThroughput: policy=default must be within noise of
-// that benchmark's workers=4 rows (the native channel path is untouched
-// when the default policy is selected), while fcfs/sjf/edf pay the
-// ordered path's cross-shard scan — the documented price of a policy
-// that ranks the whole backlog; cmd/benchgate gates every cell via
-// BENCH_BASELINE.json.
+// BenchmarkJobQueuePolicies prices the dequeue under each pluggable
+// policy across the (policy, shards) matrix: four concurrent submitters
+// of unique sub-µs PRAM jobs (cache disabled, so every one is queued,
+// dequeued and settled), the job BenchmarkJobQueueSettle runs, so the
+// numbers price the lanes rather than the simulator. policy=default pops
+// FIFO lanes; fcfs/sjf/edf push and pop policy-ordered heap lanes and
+// pay the cost calibrator on every submit and settle. cmd/benchgate
+// gates every cell via BENCH_BASELINE.json, and CI pins edf/shards=4 at
+// no less than 0.7x default/shards=4.
 func BenchmarkJobQueuePolicies(b *testing.B) {
 	var seed atomic.Uint64
 	for _, policy := range []string{"default", "fcfs", "sjf", "edf"} {
@@ -810,8 +811,8 @@ func BenchmarkJobQueuePolicies(b *testing.B) {
 							jobs := make([]*jobqueue.Job, 0, batch/submitters)
 							for j := 0; j < batch/submitters; j++ {
 								job, err := q.Submit(jobqueue.Spec{
-									Algorithm: "reduce", N: 256, P: 4,
-									Engine: core.EngineSim, Seed: seed.Add(1),
+									Algorithm: "reduce", N: 8, P: 1,
+									Engine: core.EnginePRAM, Seed: seed.Add(1),
 								})
 								if err != nil {
 									b.Error(err)

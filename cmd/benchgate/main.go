@@ -17,6 +17,11 @@
 //	go test -run='^$' -bench=BenchmarkJobQueue -benchmem -count=3 . | \
 //	    go run ./cmd/benchgate -baseline BENCH_BASELINE.json -update
 //
+// The baseline records the machine it was made on (CPU count,
+// GOMAXPROCS, Go version: benchgate's own, which are the bench run's
+// when the output is piped straight in), and a gate run prints it beside
+// the machine it is gating on.
+//
 // Same-machine A/B (immune to machine-class skew — CI uses this for pull
 // requests, benching the merge-base in a worktree and the head in place;
 // benchmarks missing from the baseline run are reported, not gated):
@@ -51,6 +56,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,6 +67,9 @@ import (
 type Baseline struct {
 	// Note describes where the numbers came from.
 	Note string `json:"note,omitempty"`
+	// Machine is the host the numbers were recorded on; nil in baselines
+	// that predate the field.
+	Machine *Machine `json:"machine,omitempty"`
 	// OpsPerSec maps full benchmark names (including sub-benchmarks, with
 	// the -cpu suffix stripped) to their best observed ops/sec.
 	OpsPerSec map[string]float64 `json:"ops_per_sec"`
@@ -69,6 +78,69 @@ type Baseline struct {
 	// Informational: the gate's verdict is ops/sec only.
 	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+}
+
+// Machine identifies a benchmarking host. Numbers from different
+// machines are not comparable, so the gate shows both sides.
+type Machine struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// thisMachine describes the host benchgate runs on.
+func thisMachine() Machine {
+	return Machine{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+}
+
+func (m *Machine) String() string {
+	if m == nil {
+		return "an unrecorded machine"
+	}
+	return fmt.Sprintf("nproc=%d GOMAXPROCS=%d %s", m.NProc, m.GOMAXPROCS, m.GoVersion)
+}
+
+// newBaseline turns a parsed run on machine m into the baseline -update
+// writes.
+func newBaseline(got map[string]*benchStat, m Machine) Baseline {
+	b := Baseline{
+		Note:      "best-run ops/sec per benchmark on the machine below; an absolute floor only - the sensitive regression signal is CI's same-machine merge-base comparison; refresh with cmd/benchgate -update from the gating machine class",
+		Machine:   &m,
+		OpsPerSec: make(map[string]float64, len(got)),
+	}
+	for name, st := range got {
+		b.OpsPerSec[name] = st.ops
+		if st.hasMem {
+			if b.BytesPerOp == nil {
+				b.BytesPerOp = make(map[string]float64)
+				b.AllocsPerOp = make(map[string]float64)
+			}
+			b.BytesPerOp[name] = st.bytes
+			b.AllocsPerOp[name] = st.allocs
+		}
+	}
+	return b
+}
+
+// writeBaseline and readBaseline store and load a baseline file.
+func writeBaseline(path string, b Baseline) error {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+func readBaseline(path string) (Baseline, error) {
+	var b Baseline
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return b, err
+	}
+	if err := json.Unmarshal(data, &b); err != nil {
+		return b, fmt.Errorf("bad baseline: %w", err)
+	}
+	return b, nil
 }
 
 // benchStat is one benchmark's best observed run.
@@ -212,31 +284,12 @@ func main() {
 	ratioLines, ratioFailed := checkRatios(got, ratios)
 
 	if *update {
-		b := Baseline{
-			Note:      "best-run ops/sec per benchmark; an absolute floor only (recorded on a 1-core 2.1GHz container) - the sensitive regression signal is CI's same-machine merge-base comparison; refresh with cmd/benchgate -update from the gating machine class",
-			OpsPerSec: make(map[string]float64, len(got)),
-		}
-		for name, st := range got {
-			b.OpsPerSec[name] = st.ops
-			if st.hasMem {
-				if b.BytesPerOp == nil {
-					b.BytesPerOp = make(map[string]float64)
-					b.AllocsPerOp = make(map[string]float64)
-				}
-				b.BytesPerOp[name] = st.bytes
-				b.AllocsPerOp[name] = st.allocs
-			}
-		}
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
+		m := thisMachine()
+		if err := writeBaseline(*baselinePath, newBaseline(got, m)); err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 			os.Exit(2)
 		}
-		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("benchgate: wrote %d benchmarks to %s\n", len(got), *baselinePath)
+		fmt.Printf("benchgate: wrote %d benchmarks recorded on %s to %s\n", len(got), &m, *baselinePath)
 		for _, line := range ratioLines {
 			fmt.Printf("benchgate: %s\n", line)
 		}
@@ -265,15 +318,12 @@ func main() {
 			base.OpsPerSec[name] = st.ops
 		}
 	} else {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
+		if base, err = readBaseline(*baselinePath); err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: %v (run with -update to create it)\n", err)
 			os.Exit(2)
 		}
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: bad baseline: %v\n", err)
-			os.Exit(2)
-		}
+		here := thisMachine()
+		fmt.Printf("benchgate: baseline recorded on %s; gating on %s\n", base.Machine, &here)
 	}
 
 	names := make([]string, 0, len(got))

@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -81,5 +83,46 @@ func TestCheckRatios(t *testing.T) {
 	}
 	if lines, failed := checkRatios(got, nil); failed != 0 || len(lines) != 0 {
 		t.Fatalf("no gates must produce no lines, got %d/%v", failed, lines)
+	}
+}
+
+// TestBaselineMachineRoundTrip: -update stamps the baseline with the
+// machine it ran on, and reading the file back yields the same machine
+// and numbers. A baseline without the field loads with a nil machine.
+func TestBaselineMachineRoundTrip(t *testing.T) {
+	m := thisMachine()
+	if m.NProc != runtime.NumCPU() || m.GOMAXPROCS != runtime.GOMAXPROCS(0) || m.GoVersion != runtime.Version() {
+		t.Fatalf("thisMachine() = %+v", m)
+	}
+	got := map[string]*benchStat{
+		"B/a": {ops: 250, bytes: 512, allocs: 8, hasMem: true},
+		"B/b": {ops: 1e6},
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := writeBaseline(path, newBaseline(got, m)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := readBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Machine == nil || *b.Machine != m {
+		t.Fatalf("machine read back as %v, want %v", b.Machine, &m)
+	}
+	if b.OpsPerSec["B/a"] != 250 || b.OpsPerSec["B/b"] != 1e6 || b.AllocsPerOp["B/a"] != 8 {
+		t.Fatalf("numbers read back as %+v", b)
+	}
+	if want := "nproc="; !strings.Contains(b.Machine.String(), want) {
+		t.Errorf("machine renders as %q", b.Machine.String())
+	}
+
+	if err := writeBaseline(path, Baseline{OpsPerSec: map[string]float64{"B/a": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = readBaseline(path); err != nil || b.Machine != nil {
+		t.Fatalf("machine-less baseline read back as %v, %v", b.Machine, err)
+	}
+	if s := b.Machine.String(); !strings.Contains(s, "unrecorded") {
+		t.Errorf("nil machine renders as %q", s)
 	}
 }

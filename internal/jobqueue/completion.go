@@ -78,7 +78,7 @@ func newWorkerMetrics(numClasses int) *workerMetrics {
 }
 
 // workerState is the per-worker completion state threaded through the
-// dequeue loops: the outcome buffer and the worker's metric shard. It
+// dequeue loop: the outcome buffer and the worker's metric shard. It
 // survives re-homing (a resize does not reset it); the worker's exit
 // path flushes whatever remains before the pool's WaitGroup releases
 // Close.

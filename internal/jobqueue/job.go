@@ -121,11 +121,11 @@ type Job struct {
 	class int
 
 	// Flight-recorder fields. submitShard/submitEpoch/laneDepth are
-	// written before the job is published to its run queue and
-	// execShard/stealFrom by the executing worker before it spawns the
-	// runner; the completion flush (which runs after the run finishes)
-	// is the only reader, so the channel send and goroutine creation
-	// order them without a lock.
+	// written before the job is pushed on its run queue and
+	// execShard/stealFrom by the executing worker before it hands the
+	// run off; the completion flush (which runs after the run finishes)
+	// is the only reader, so the shard lock around push and pop and the
+	// runner hand-off order them without a lock of their own.
 	submitShard int
 	submitEpoch uint64
 	laneDepth   int

@@ -215,6 +215,15 @@ type Queue struct {
 	deqName string
 	admName string
 
+	// laneOf maps each class to its run-queue lane, the same on every
+	// shard, and weightedLanes lists the lanes the weighted classes are
+	// served from, in set order. Fixed at New. Every strict class has
+	// its own lane. Under the default policy so does every weighted
+	// class, and the weighted lanes share dequeues by DWRR; under an
+	// ordering policy the weighted classes share one policy-ordered lane.
+	laneOf        []int
+	weightedLanes []int
+
 	// Counters (atomics: hot path, read by Snapshot without any lock).
 	submitted  atomic.Int64
 	completed  atomic.Int64
@@ -289,19 +298,21 @@ func New(cfg Config) *Queue {
 	if cfg.TraceSink != nil {
 		q.rec = newRecorder(cfg.TraceSink, cfg.TraceBuffer)
 	}
-	depth := perShard(cfg.QueueDepth, cfg.Shards)
-	depths := make([]int, len(classes.specs))
-	for c := range depths {
-		depths[c] = classes.laneDepth(c, depth)
+	q.laneOf = make([]int, len(classes.specs))
+	for c := range q.laneOf {
+		q.laneOf[c] = c
 	}
-	cacheCap := 0
-	if cfg.CacheSize > 0 {
-		cacheCap = perShard(cfg.CacheSize, cfg.Shards)
+	q.weightedLanes = classes.weighted
+	if deq != nil && len(classes.weighted) > 0 {
+		pool := classes.weighted[0]
+		for _, c := range classes.weighted {
+			q.laneOf[c] = pool
+		}
+		q.weightedLanes = classes.weighted[:1]
 	}
-	retain := perShard(cfg.Retain, cfg.Shards)
 	shards := make([]*shard, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		shards[i] = newShard(i, depths, nil, cacheCap, retain)
+	for i := range shards {
+		shards[i] = q.newShard(i, cfg.Shards)
 	}
 	if cfg.Workers < cfg.Shards {
 		cfg.Workers = cfg.Shards // every shard gets at least one worker
@@ -348,10 +359,9 @@ func (q *Queue) Close() {
 		q.scalerWG.Wait()
 	}
 	// Serialize against any in-flight Resize, then tear down the current
-	// table: stop admission on every shard before closing any run queue
-	// (a Submit holding a shard lock finishes its send before the flag
-	// flips, and later Submits see the flag — no send on a closed
-	// channel either way).
+	// table: stop admission on every shard (a Submit holding a shard lock
+	// finishes its enqueue before the flag flips, and later Submits see
+	// the flag), then kick the workers, which drain the lanes and exit.
 	q.resizeMu.Lock()
 	p := q.place.Load()
 	for _, s := range p.shards {
@@ -372,21 +382,7 @@ func (q *Queue) Close() {
 			q.refuseClosed(j, time.Now())
 		}
 	}
-	if q.deq == nil {
-		// Native path: closed channels are what unblock parked workers
-		// and mark lanes drained.
-		for _, s := range p.shards {
-			for _, ch := range s.runq {
-				close(ch)
-			}
-		}
-	} else {
-		// Ordered path: workers only ever receive under the shard lock
-		// (drain-pick-putback), so the channels are never closed — the
-		// closed flag plus a kick cascade retires the pool instead, and
-		// a putback can never hit a closed channel.
-		q.kickWorkers()
-	}
+	q.kickWorkers()
 	q.resizeMu.Unlock()
 	q.workers.Wait()
 	q.orphans.Wait()
@@ -632,10 +628,7 @@ func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) (queued bool, err er
 
 // enqueueLocked admits a job to its class's run queue on shard s, or
 // returns the refusal for admitLocked to record; the caller holds s.mu.
-// The admission bound is the lane counter, not the channel (which a
-// resize may have sized larger to hold a migrated backlog); the
-// non-blocking send is a backstop that cannot fire while the counter
-// invariant holds.
+// The admission bound is the class's lane counter.
 func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	used := s.laneUsed[job.class].Load()
 	if used >= int64(s.laneDepths[job.class]) {
@@ -660,11 +653,11 @@ func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	// The admitted-ahead count at admission, kept for the flight
 	// recorder's completion record.
 	job.laneDepth = int(used)
-	select {
-	case s.runq[job.class] <- job:
-	default:
-		return ErrQueueFull
+	it := laneItem{job: job}
+	if q.deq != nil {
+		it.view = q.policyView(job)
 	}
+	s.lanes[q.laneOf[job.class]].push(it)
 	s.laneUsed[job.class].Add(1)
 	if !job.pooled {
 		// Pooled batch frames are not retained for Get/Jobs: the batch

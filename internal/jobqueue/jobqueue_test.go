@@ -325,6 +325,28 @@ func TestDeadlineAbandonsRun(t *testing.T) {
 	}
 }
 
+// TestFinishRunEnforcesDeadline: a run that returns past its deadline
+// fails as a timeout even when its deadline timer never fired, on every
+// run path; a run the timer already failed loses and counts nothing.
+func TestFinishRunEnforcesDeadline(t *testing.T) {
+	q := New(Config{Workers: 1})
+	defer q.Close()
+	late := &Job{Name: "late"}
+	res, won, err := q.finishRun(late, Result{Wall: 2 * time.Millisecond}, nil, time.Millisecond)
+	if !won || !errors.Is(err, context.DeadlineExceeded) || res.Wall != 2*time.Millisecond {
+		t.Fatalf("late run: won=%v err=%v wall=%v, want a won deadline failure keeping its wall", won, err, res.Wall)
+	}
+	if late.Status() != StatusFailed || q.timeouts.Load() != 1 {
+		t.Fatalf("late run: status %v, timeouts %d, want failed and 1", late.Status(), q.timeouts.Load())
+	}
+	if _, won, err := q.finishRun(&Job{Name: "on-time"}, Result{Wall: time.Millisecond}, nil, time.Second); !won || err != nil {
+		t.Fatalf("on-time run: won=%v err=%v", won, err)
+	}
+	if _, won, _ := q.finishRun(late, Result{Wall: time.Hour}, nil, time.Millisecond); won || q.timeouts.Load() != 1 {
+		t.Fatalf("already-failed run: won=%v timeouts=%d, want a loss counting nothing", won, q.timeouts.Load())
+	}
+}
+
 func TestSubmitAfterClose(t *testing.T) {
 	q := New(Config{Workers: 1})
 	q.Close()

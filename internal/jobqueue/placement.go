@@ -81,9 +81,8 @@ func (q *Queue) NumShards() int { return len(q.place.Load().shards) }
 //     re-hash onto the new table, so a duplicate submitted after the swap
 //     still cache-hits or coalesces.
 //   - Admitted-but-unstarted jobs are drained from the old run queues and
-//     re-enqueued on their new home shards in submission order (the new
-//     lanes are sized base depth + migrated backlog, so migration can
-//     never be refused by admission control).
+//     re-enqueued on their new home shards in submission order, past the
+//     admission bound, so migration can never be refused.
 //   - Jobs already running finish where they are; their completion flush
 //     forwards through the new table (see flushCompletions), so the
 //     result lands in the new home's cache.
@@ -93,9 +92,9 @@ func (q *Queue) NumShards() int { return len(q.place.Load().shards) }
 //
 // Concurrent Submit/Get/Wait observe either the old epoch or the new one,
 // never a half-migrated table: old shards are retired first (late writers
-// spin briefly and retry against the new table) and the new table is
-// published before the old run queues close. Resizes are serialized; a
-// resize to the current count is a no-op returning the current epoch.
+// spin briefly and retry against the new table), then the new table is
+// published. Resizes are serialized; a resize to the current count is a
+// no-op returning the current epoch.
 // When autoscaling is configured, n must lie within its [Min, Max].
 func (q *Queue) Resize(n int) (uint64, error) {
 	q.resizeMu.Lock()
@@ -116,18 +115,29 @@ func (q *Queue) Resize(n int) (uint64, error) {
 		return old.epoch, nil // no-op: same table, same epoch
 	}
 
-	numClasses := len(q.classes.specs)
-
-	// Retire the old shards: from here on no submit, settle or read lands
-	// on them — late arrivals holding the old table spin until the new
-	// one is published (see the retired checks in Submit, settle, Get,
-	// Jobs and Snapshot). Retiring under each shard's lock fences any
-	// critical section already in flight.
+	// Retire the old shards and empty their lanes: from here on no
+	// submit, settle or read lands on them — late arrivals holding the
+	// old table spin until the new one is published (see the retired
+	// checks in Submit, settle, Get, Jobs and Snapshot). Retiring under
+	// each shard's lock fences any critical section already in flight,
+	// and workers pop under the same lock, so each admitted job is
+	// either already taken by a worker or drained here — never both.
+	var backlog []laneItem
 	for _, s := range old.shards {
 		s.mu.Lock()
 		s.retired = true
+		for l := range s.lanes {
+			for _, it := range s.lanes[l].drain() {
+				s.pending.Add(-1)
+				s.laneUsed[it.job.class].Add(-1)
+				backlog = append(backlog, it)
+			}
+		}
 		s.mu.Unlock()
 	}
+	// IDs carry the global submission sequence in their high bits:
+	// sorting restores submission order across the merged old lanes.
+	sort.Slice(backlog, func(a, b int) bool { return backlog[a].job.ID < backlog[b].job.ID })
 
 	// Seal the retired shards' submit rings. From here on batch
 	// publishers bounce off the seal and chase the new table; the frames
@@ -141,65 +151,9 @@ func (q *Queue) Resize(n int) (uint64, error) {
 		ringBacklog = append(ringBacklog, s.ring.seal()...)
 	}
 
-	// Drain the admitted-but-unstarted backlog. Workers may race us for
-	// individual jobs — whoever receives one owns it, so nothing is lost
-	// or duplicated — and nothing new can be enqueued, so the drain
-	// terminates. Jobs are bucketed by their new home shard and class.
-	buckets := make([][][]*Job, n)
-	for i := range buckets {
-		buckets[i] = make([][]*Job, numClasses)
-	}
-	newIdx := func(job *Job) int {
-		if job.fn == nil {
-			return shardIndexFor(job.Spec.key(), n)
-		}
-		return shardIndexForName(job.Name, n)
-	}
-	for _, s := range old.shards {
-		for c, ch := range s.runq {
-		lane:
-			for {
-				select {
-				case job := <-ch:
-					s.pending.Add(-1)
-					s.laneUsed[c].Add(-1)
-					i := newIdx(job)
-					buckets[i][c] = append(buckets[i][c], job)
-				default:
-					break lane
-				}
-			}
-		}
-	}
-	for i := range buckets {
-		for c := range buckets[i] {
-			jobs := buckets[i][c]
-			// IDs carry the global submission sequence in their high
-			// bits: sorting restores submission order across the merged
-			// old lanes.
-			sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
-		}
-	}
-
-	// Build the new table. Each lane's channel is sized admission depth
-	// plus the migrated backlog headed there, so every drained job
-	// re-enqueues without touching admission control; the admission
-	// bound itself (the lane counter) stays the configured depth.
-	depth := perShard(q.cfg.QueueDepth, n)
-	cacheCap := 0
-	if q.cfg.CacheSize > 0 {
-		cacheCap = perShard(q.cfg.CacheSize, n)
-	}
-	retain := perShard(q.cfg.Retain, n)
 	shards := make([]*shard, n)
-	for i := 0; i < n; i++ {
-		depths := make([]int, numClasses)
-		caps := make([]int, numClasses)
-		for c := range caps {
-			depths[c] = q.classes.laneDepth(c, depth)
-			caps[c] = depths[c] + len(buckets[i][c])
-		}
-		shards[i] = newShard(i, depths, caps, cacheCap, retain)
+	for i := range shards {
+		shards[i] = q.newShard(i, n)
 	}
 
 	// Migrate each old shard's keyed state onto the new table. The new
@@ -233,13 +187,18 @@ func (q *Queue) Resize(n int) (uint64, error) {
 	for _, ns := range shards {
 		sort.Slice(ns.retained, func(a, b int) bool { return ns.retained[a] < ns.retained[b] })
 		ns.trimRetention()
-		for c := range buckets[ns.idx] {
-			for _, job := range buckets[ns.idx][c] {
-				ns.runq[c] <- job // fits by construction (lane sized above)
-				ns.pending.Add(1)
-				ns.laneUsed[c].Add(1)
-			}
+	}
+	for _, it := range backlog {
+		job := it.job
+		var ns *shard
+		if job.fn == nil {
+			ns = shards[shardIndexFor(job.Spec.key(), n)]
+		} else {
+			ns = shards[shardIndexForName(job.Name, n)]
 		}
+		ns.lanes[q.laneOf[job.class]].push(it)
+		ns.pending.Add(1)
+		ns.laneUsed[job.class].Add(1)
 	}
 	// Re-home the sealed ring backlog through the admission pipeline on
 	// the new (still unpublished, so lock-free) shards: the frames were
@@ -276,13 +235,13 @@ func (q *Queue) Resize(n int) (uint64, error) {
 		// spawns below so every worker finds its slot.
 		wms := append([]*workerMetrics(nil), *q.workerM.Load()...)
 		for i := spawnFrom; i < q.totalWorkers; i++ {
-			wms = append(wms, newWorkerMetrics(numClasses))
+			wms = append(wms, newWorkerMetrics(len(q.classes.specs)))
 		}
 		q.workerM.Store(&wms)
 	}
 
-	// Publish, then close the old run queues: a worker blocked on an old
-	// lane wakes on the close, sees the table moved, and re-homes. The
+	// Publish, then kick: a parked worker wakes, sees the table moved,
+	// and re-homes (the rest follow on the kick chain or the poll). The
 	// retired-generation rotation and the store happen under one
 	// retiredMu critical section, so a reader that loads the table under
 	// the same lock always sees the retired list holding exactly the
@@ -301,11 +260,6 @@ func (q *Queue) Resize(n int) (uint64, error) {
 	q.retiredShards = append(q.retiredShards[:0], old.shards...)
 	q.place.Store(next)
 	q.retiredMu.Unlock()
-	for _, s := range old.shards {
-		for _, ch := range s.runq {
-			close(ch)
-		}
-	}
 	for idx := spawnFrom; idx < q.totalWorkers; idx++ {
 		q.workers.Add(1)
 		go q.worker(idx)

@@ -34,7 +34,7 @@ type CostEstimate struct {
 }
 
 // JobView is the read-only projection of one queued job that a
-// DequeuePolicy ranks. It is built by the queue at decision time from
+// DequeuePolicy ranks. It is built by the queue once, at enqueue, from
 // state the job already carries; a policy must not retain the pointer
 // past the Before call or mutate anything reachable from it.
 type JobView struct {
@@ -59,19 +59,23 @@ type JobView struct {
 // queue consults it only inside class tiers the discipline defines:
 // strict classes always outrank weighted ones and each other in set
 // order regardless of policy, and the policy's Before orders jobs
-// within one strict class and across the pooled weighted classes. See
-// ARCHITECTURE.md for the full contract (purity, epoch interaction).
+// within one strict class and across the pooled weighted classes. The
+// order is per shard: each shard's lanes are heaps by Before, and a
+// worker takes its home shard's best job before it steals another
+// shard's best. See ARCHITECTURE.md for the full contract (purity,
+// epoch interaction).
 //
 // Before must be a pure, deterministic strict weak ordering: given the
 // same two views it must always return the same answer, and it must
 // never report both Before(a, b) and Before(b, a). Implementations must
 // not mutate the views, block, or read queue state beyond them.
 //
-// The "default" policy is special: the queue recognizes it and runs the
-// native strict-then-DWRR channel discipline (weighted classes share
-// dequeues in weight proportion), byte-identical to the pre-policy
-// queue. Every other policy replaces the weighted round-robin with its
-// Before order; DWRR weights are not honored under an ordering policy.
+// The "default" policy is special: the queue recognizes it and keeps
+// plain FIFO lanes, one per class, with the weighted classes sharing
+// dequeues in weight proportion (DWRR), byte-identical to the
+// pre-policy queue. Every other policy pools the weighted classes into
+// one lane ordered by Before; DWRR weights are not honored under an
+// ordering policy.
 type DequeuePolicy interface {
 	// Name returns the policy's registry name.
 	Name() string
@@ -131,8 +135,8 @@ type Policies struct {
 }
 
 // resolve returns the runtime policy instances: nil dequeue/admission
-// mean "run the native default path" (the queue special-cases the
-// default policies back to the original inlined code, so selecting them
+// mean "run the native default path" (FIFO lanes with no Before calls,
+// and the inlined lane-quota check, so selecting the default policies
 // costs nothing over the pre-policy queue).
 func (p Policies) resolve() (DequeuePolicy, AdmissionPolicy, error) {
 	deq := p.DequeuePolicy
@@ -234,12 +238,12 @@ func ParseAdmissionPolicy(spec string) (AdmissionPolicy, error) {
 // ---- dequeue policies ----
 
 // DefaultDequeue is the "default" dequeue policy: the queue's native
-// strict-then-DWRR discipline. The queue recognizes this type and runs
-// the original channel-based worker loop unchanged (weighted classes
-// share dequeues in weight proportion, strict classes drain first), so
-// selecting it is byte-identical to the pre-policy queue. Its Before is
-// the within-class arrival order (FIFO by ID), which is what the native
-// FIFO lanes deliver.
+// strict-then-DWRR discipline. The queue recognizes this type and keeps
+// one FIFO lane per class (weighted classes share dequeues in weight
+// proportion, strict classes drain first), so selecting it is
+// byte-identical to the pre-policy queue. Its Before is the
+// within-class arrival order (FIFO by ID), which is what the FIFO lanes
+// deliver.
 type DefaultDequeue struct{}
 
 // Name returns "default".

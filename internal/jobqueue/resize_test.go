@@ -224,65 +224,72 @@ func TestResizeCoalescesDuplicateAcrossMigration(t *testing.T) {
 // hammer a duplicate-heavy key space while the table resizes 1→4→2→3→1
 // under them. No job may be lost, refused, failed, or executed twice —
 // every distinct key runs exactly once, however many epochs it crossed.
-// Run it with -race: every migration path crosses goroutines.
+// It runs under the default FIFO lanes and under edf's heap lanes, whose
+// drained backlog re-pushes into policy order. Run it with -race: every
+// migration path crosses goroutines.
 func TestResizeUnderLoad(t *testing.T) {
-	q := New(Config{Workers: 4, Shards: 1, QueueDepth: 8192, CacheSize: 4096, DefaultTimeout: 2 * time.Minute})
-	defer q.Close()
+	for _, policy := range []string{"default", "edf"} {
+		t.Run(policy, func(t *testing.T) {
+			q := New(Config{Workers: 4, Shards: 1, QueueDepth: 8192, CacheSize: 4096, DefaultTimeout: 2 * time.Minute,
+				Policies: Policies{Dequeue: policy}})
+			defer q.Close()
 
-	const distinct = 40
-	const perSubmitter = 150
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for sub := 0; sub < 4; sub++ {
-		wg.Add(1)
-		go func(sub int) {
-			defer wg.Done()
-			jobs := make([]*Job, 0, perSubmitter)
-			for i := 0; i < perSubmitter; i++ {
-				spec := Spec{Algorithm: "reduce", N: 128, P: 2, Engine: core.EngineSim,
-					Seed: uint64((sub*perSubmitter + i) % distinct)}
-				job, err := q.Submit(spec)
-				if err != nil {
-					errs <- fmt.Errorf("submitter %d: %v", sub, err)
-					return
-				}
-				jobs = append(jobs, job)
+			const distinct = 40
+			const perSubmitter = 150
+			var wg sync.WaitGroup
+			errs := make(chan error, 4)
+			for sub := 0; sub < 4; sub++ {
+				wg.Add(1)
+				go func(sub int) {
+					defer wg.Done()
+					jobs := make([]*Job, 0, perSubmitter)
+					for i := 0; i < perSubmitter; i++ {
+						spec := Spec{Algorithm: "reduce", N: 128, P: 2, Engine: core.EngineSim,
+							Seed: uint64((sub*perSubmitter + i) % distinct)}
+						job, err := q.Submit(spec)
+						if err != nil {
+							errs <- fmt.Errorf("submitter %d: %v", sub, err)
+							return
+						}
+						jobs = append(jobs, job)
+					}
+					for _, job := range jobs {
+						if _, err := job.Wait(context.Background()); err != nil {
+							errs <- fmt.Errorf("submitter %d wait: %v", sub, err)
+							return
+						}
+					}
+				}(sub)
 			}
-			for _, job := range jobs {
-				if _, err := job.Wait(context.Background()); err != nil {
-					errs <- fmt.Errorf("submitter %d wait: %v", sub, err)
-					return
+			for _, n := range []int{4, 2, 3, 1} {
+				time.Sleep(2 * time.Millisecond)
+				if _, err := q.Resize(n); err != nil {
+					t.Fatalf("Resize(%d): %v", n, err)
 				}
 			}
-		}(sub)
-	}
-	for _, n := range []int{4, 2, 3, 1} {
-		time.Sleep(2 * time.Millisecond)
-		if _, err := q.Resize(n); err != nil {
-			t.Fatalf("Resize(%d): %v", n, err)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
 
-	m := q.Snapshot()
-	if m.Completed != distinct {
-		t.Errorf("completed = %d, want %d (each distinct key exactly once across all epochs)", m.Completed, distinct)
-	}
-	if m.Failed != 0 || m.Rejected != 0 || m.Timeouts != 0 {
-		t.Errorf("failed=%d rejected=%d timeouts=%d, want 0", m.Failed, m.Rejected, m.Timeouts)
-	}
-	if got := m.CacheHits + m.Coalesced; got != 4*perSubmitter-distinct {
-		t.Errorf("hits+coalesced = %d, want %d (every duplicate served without execution)", got, 4*perSubmitter-distinct)
-	}
-	if m.Pending != 0 {
-		t.Errorf("pending = %d after full drain, want 0", m.Pending)
-	}
-	if m.Epoch != 5 {
-		t.Errorf("epoch = %d after four resizes, want 5", m.Epoch)
+			m := q.Snapshot()
+			if m.Completed != distinct {
+				t.Errorf("completed = %d, want %d (each distinct key exactly once across all epochs)", m.Completed, distinct)
+			}
+			if m.Failed != 0 || m.Rejected != 0 || m.Timeouts != 0 {
+				t.Errorf("failed=%d rejected=%d timeouts=%d, want 0", m.Failed, m.Rejected, m.Timeouts)
+			}
+			if got := m.CacheHits + m.Coalesced; got != 4*perSubmitter-distinct {
+				t.Errorf("hits+coalesced = %d, want %d (every duplicate served without execution)", got, 4*perSubmitter-distinct)
+			}
+			if m.Pending != 0 {
+				t.Errorf("pending = %d after full drain, want 0", m.Pending)
+			}
+			if m.Epoch != 5 {
+				t.Errorf("epoch = %d after four resizes, want 5", m.Epoch)
+			}
+		})
 	}
 }
 

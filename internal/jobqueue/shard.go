@@ -20,19 +20,19 @@ import (
 // before re-homing.
 const stealPoll = 10 * time.Millisecond
 
-// shard is one independent slice of the queue: its own run queues (one
-// per priority class), worker pool, coalescing map, and result cache.
-// All mutable state is guarded by mu except the atomic gauges and the
-// lock-free cache read index; nothing on a shard is touched by another
-// shard's submissions, so contention is confined to the traffic hashed
-// here. (Latency rings and per-algorithm aggregates live on the
-// workers' own metric shards — see workerMetrics — not here.)
+// shard is one independent slice of the queue: its own run queues,
+// worker pool, coalescing map, and result cache. All mutable state is
+// guarded by mu except the atomic gauges and the lock-free cache read
+// index; nothing on a shard is touched by another shard's submissions,
+// so contention is confined to the traffic hashed here. (Latency rings
+// and per-algorithm aggregates live on the workers' own metric shards —
+// see workerMetrics — not here.)
 type shard struct {
 	idx int
-	// runq holds the admitted-but-not-started jobs, one bounded FIFO per
-	// priority class, indexed by class-set position. Workers drain
-	// strict classes first, then the weighted classes round-robin.
-	runq []chan *Job
+	// lanes holds the admitted-but-not-started jobs, one run queue per
+	// lane of the queue's layout (Queue.laneOf), guarded by mu. Workers
+	// serve the strict lanes first, then the weighted lanes round-robin.
+	lanes []lane
 
 	// ring is the shard's bounded MPSC submit ring: Batch.Submit
 	// publishes pooled frames here without taking mu, and whoever holds
@@ -41,12 +41,12 @@ type shard struct {
 	// its backlog re-homed — when the shard is retired or closed.
 	ring *submitRing
 
-	// laneDepths is each class lane's admission bound and laneUsed its
+	// laneDepths is each class's admission bound and laneUsed its
 	// current admitted-but-not-started count. Admission is enforced by
-	// the counter, not by channel capacity: a resize sizes the new
-	// channels base depth + migrated backlog so migration can never be
-	// refused, but laneUsed starts at the migrated count, so the
-	// *admission* bound stays the configured depth across epochs.
+	// the counter alone: a resize re-pushes a migrated backlog past it,
+	// so migration can never be refused, but laneUsed starts at the
+	// migrated count, so the *admission* bound stays the configured depth
+	// across epochs.
 	laneDepths []int
 	laneUsed   []atomic.Int64
 
@@ -77,26 +77,30 @@ type shard struct {
 	stolen   atomic.Int64 // jobs this shard's workers took from other shards
 }
 
-// newShard builds one shard: depths are the per-class admission bounds,
-// caps the per-class channel capacities (>= depths; nil means equal —
-// only Resize passes larger caps, to hold a migrated backlog).
-func newShard(idx int, depths, caps []int, cacheCap, retain int) *shard {
+// newShard builds shard idx of an n-shard table: the configured queue
+// depth, cache and retention budgets are sliced evenly over the n
+// shards, and each class's admission bound is its quota of the depth.
+func (q *Queue) newShard(idx, n int) *shard {
+	depth := perShard(q.cfg.QueueDepth, n)
+	cacheCap := 0
+	if q.cfg.CacheSize > 0 {
+		cacheCap = perShard(q.cfg.CacheSize, n)
+	}
+	classes := len(q.classes.specs)
 	s := &shard{
 		idx:        idx,
 		ring:       newSubmitRing(submitRingCap),
-		runq:       make([]chan *Job, len(depths)),
-		laneDepths: append([]int(nil), depths...),
-		laneUsed:   make([]atomic.Int64, len(depths)),
+		lanes:      make([]lane, classes),
+		laneDepths: make([]int, classes),
+		laneUsed:   make([]atomic.Int64, classes),
 		byID:       make(map[uint64]*Job),
 		inflight:   make(map[Key]*Job),
 		cache:      newLRU(cacheCap),
-		limit:      retain,
+		limit:      perShard(q.cfg.Retain, n),
 	}
-	if caps == nil {
-		caps = depths
-	}
-	for c, cap := range caps {
-		s.runq[c] = make(chan *Job, cap)
+	for c := range s.lanes {
+		s.lanes[c].deq = q.deq
+		s.laneDepths[c] = q.classes.laneDepth(c, depth)
 	}
 	return s
 }
@@ -168,154 +172,37 @@ func (q *Queue) worker(idx int) {
 	defer q.flushCompletions(ws)
 	timer := time.NewTimer(stealPoll)
 	defer timer.Stop()
-	if q.deq != nil {
-		// A non-default ordering policy replaces the whole native
-		// discipline below with the policy-ordered sweep; the native path
-		// runs untouched (and channel-blocking) when no policy is set.
-		for {
-			p := q.place.Load()
-			if q.runEpochOrdered(p, idx, timer, ws) {
-				return
-			}
-		}
-	}
 	credits := make([]int, len(q.classes.specs))
 	rot := 0
 	for {
-		p := q.place.Load()
-		if q.runEpoch(idx, p, credits, &rot, timer, ws) {
+		if q.runEpoch(idx, q.place.Load(), credits, &rot, timer, ws) {
 			return
 		}
 	}
 }
 
-// runEpoch runs the dequeue discipline against one placement table until
-// the table is superseded by a resize (false: the caller re-homes) or the
-// queue is closed and drained (true: the worker exits).
+// runEpoch runs the dequeue loop against one placement table until the
+// table is superseded by a resize (false: the caller re-homes) or the
+// queue is closed and drained (true: the worker exits). Every dequeue
+// policy runs this one loop; the policy only orders the jobs within a
+// lane (see lane and Queue.laneOf).
 //
-// Each probe of a class spans the whole table — the home shard's queue
-// first, then every other shard's queue of the same class (a steal) — so
-// class order is global, not per shard, and an idle shard's sweep for
-// stealable work follows the same preference order its own dequeue
-// discipline would serve next. The order itself:
-//
-//   - Strict classes (WeightStrict) are probed first, in set order, and
-//     re-probed before every dequeue, so no weighted job starts anywhere
-//     while a strict job waits anywhere — stolen work included: a thief
-//     always takes a waiting strict job over any weighted one. With the
-//     default class set this is exactly the original behavior:
-//     interactive always before batch.
-//   - Weighted classes share the remaining dequeues deficit-weighted
-//     round-robin: each worker keeps a per-class credit balance,
-//     replenished by Weight when every balance is spent; a dequeue costs
-//     one credit, and a class found empty forfeits its remaining credits
-//     for the round (work-conserving — an idle class never banks credit).
-//     The steal sweep prefers the classes holding credit (the class the
-//     thief is about to serve), falling back to the replenished scan
-//     order on the second pass. Under sustained all-class load each round
-//     starts Weight jobs per class, so class throughput is proportional
-//     to weight and every weighted class keeps making progress.
-//
-// When nothing is runnable the worker blocks on the home lane of the
-// highest-priority strict class (the set's first class when every class
-// is weighted) plus the queue-wide kick (every enqueue, every class,
-// publishes a kick), with a slow fallback poll; every other class rides
-// the kick path rather than the blocking select so a wakeup always
-// re-runs the full class discipline — a direct hand-off is only ever
-// taken for the class nothing may outrank. Returns once the home lanes
-// are closed and drained and a final sweep finds nothing: if the table
-// is current that means shutdown; otherwise a resize closed the old
-// lanes and the worker re-homes.
+// When nothing is runnable the worker ingests every shard's ring, then
+// parks on the queue-wide kick (every enqueue, every class, publishes
+// one) with a slow fallback poll. It exits only after it saw its home
+// shard closed under the shard lock and a dequeue sweep after that found
+// nothing: Close sets every closed flag before it kicks, and nothing is
+// enqueued on a closed shard, so that sweep proves every lane of the
+// table empty. An exiting worker kicks the next, and every shard has a
+// home worker, so the pool drains every lane before it stops.
 func (q *Queue) runEpoch(idx int, p *placement, credits []int, rot *int, timer *time.Timer, ws *workerState) bool {
-	cs := &q.classes
 	home := p.shards[workerHome(idx, len(p.shards), p.workers)]
-	open := make([]bool, len(cs.specs)) // home lanes not yet closed
-	for c := range open {
-		open[c] = true
-	}
-	homeOpen := len(open)
-	// blockClass is the one home lane the idle blocking select may
-	// dequeue directly: the highest-priority strict class, whose direct
-	// hand-off can never invert the dequeue discipline. Every other
-	// class rides the kick, which re-runs the full discipline. An
-	// all-weighted set blocks on its first class — credit-free, which
-	// is sound because the select is only reached with every weighted
-	// credit at zero (the DWRR passes forfeit on empty), so the hand-off
-	// fires from a fully drained round.
-	blockClass := 0
-	if len(cs.strict) > 0 {
-		blockClass = cs.strict[0]
-	}
-
-	// tryClass probes one class queue-wide: the home lane (non-blocking,
-	// marking it on close), then the other shards' lanes.
-	tryClass := func(c int) (*shard, *Job) {
-		if open[c] {
-			select {
-			case job, ok := <-home.runq[c]:
-				if !ok {
-					open[c] = false
-					homeOpen--
-				} else {
-					return home, job
-				}
-			default:
-			}
-		}
-		return q.trySteal(p, home, c)
-	}
-
+	closed := false
 	for {
 		if q.place.Load() != p {
 			return false // table superseded: re-home
 		}
-		// Ingest the home shard's ring backlog before each dequeue (a
-		// lock-free emptiness probe when the batch path is idle), so
-		// ring-published frames enter the class lanes in near-arrival
-		// order relative to the locked submit path.
-		q.drainRing(p, home)
-		var owner *shard
-		var job *Job
-		for _, c := range cs.strict {
-			if owner, job = tryClass(c); job != nil {
-				break
-			}
-		}
-		// Two DWRR passes: pass one may find only creditless backlogged
-		// classes (credit-holders all empty, forfeiting to zero); the
-		// second pass then replenishes and probes every weighted class,
-		// so job == nil afterwards means all of them were truly empty.
-		for pass := 0; pass < 2 && job == nil && len(cs.weighted) > 0; pass++ {
-			spent := true
-			for _, c := range cs.weighted {
-				if credits[c] > 0 {
-					spent = false
-					break
-				}
-			}
-			if spent {
-				for _, c := range cs.weighted {
-					credits[c] = cs.specs[c].Weight
-				}
-			}
-			for i := 0; i < len(cs.weighted) && job == nil; i++ {
-				w := (*rot + i) % len(cs.weighted)
-				c := cs.weighted[w]
-				if credits[c] <= 0 {
-					continue
-				}
-				if owner, job = tryClass(c); job != nil {
-					credits[c]--
-					*rot = w // keep serving this class until its credit drains
-					if credits[c] == 0 {
-						*rot = (w + 1) % len(cs.weighted) // quantum spent: move on
-					}
-				} else {
-					credits[c] = 0 // found empty: forfeit the round's remainder
-				}
-			}
-		}
-		if job != nil {
+		if owner, job := q.dequeue(p, home, credits, rot); job != nil {
 			// Chain the wakeup before going busy: this worker may hold
 			// the only kick token while another shard's job (its own
 			// kick dropped at capacity 1) waits for a sweep.
@@ -323,11 +210,9 @@ func (q *Queue) runEpoch(idx int, p *placement, credits []int, rot *int, timer *
 			q.runJob(owner, home.idx, job, ws)
 			continue
 		}
-		if homeOpen == 0 {
-			// Home lanes closed, drained, and nothing left to steal. A
-			// resize closes lanes only after publishing a new table, so
-			// an unchanged table means shutdown.
-			return q.place.Load() == p
+		if closed {
+			q.kickWorkers() // the next parked worker sees its own flag
+			return true
 		}
 		// About to park: sweep every shard's ring, not just home's, so a
 		// frame published to a shard whose own workers are all busy still
@@ -336,16 +221,20 @@ func (q *Queue) runEpoch(idx int, p *placement, credits []int, rot *int, timer *
 		for _, s := range p.shards {
 			swept += q.drainRing(p, s)
 		}
-		if swept > 0 {
+		if q.isClosed() {
+			// Close flags the queue before its shards, under a lock
+			// nothing hot takes; only then is the contended home lock
+			// worth taking.
+			home.mu.Lock()
+			closed = home.closed
+			home.mu.Unlock()
+		}
+		if swept > 0 || closed {
 			continue
 		}
 		// Parking with buffered completions would strand their waiters
 		// until the next dequeue round; publish them first.
 		q.flushCompletions(ws)
-		var homeBlock chan *Job // nil (never ready) once closed
-		if open[blockClass] {
-			homeBlock = home.runq[blockClass]
-		}
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -354,178 +243,110 @@ func (q *Queue) runEpoch(idx int, p *placement, credits []int, rot *int, timer *
 		}
 		timer.Reset(stealPoll)
 		select {
-		case job, ok := <-homeBlock:
-			if !ok {
-				open[blockClass] = false
-				homeOpen--
-				continue
-			}
-			q.kickWorkers()
-			q.runJob(home, home.idx, job, ws)
 		case <-q.kick:
 		case <-timer.C:
 		}
 	}
 }
 
-// trySteal sweeps the other shards' run queues of one class in rotor
-// order from the thief's index and claims the first waiting job. Returns
-// the shard the job was dequeued from so the run's execution accounting
-// lands there.
-func (q *Queue) trySteal(p *placement, thief *shard, class int) (*shard, *Job) {
-	n := len(p.shards)
-	for off := 1; off < n; off++ {
-		t := p.shards[(thief.idx+off)%n]
-		select {
-		case job, ok := <-t.runq[class]:
-			if ok {
-				thief.stolen.Add(1)
-				return t, job
+// dequeue pops the next job the discipline serves and the shard it was
+// queued on, or nil when every lane of every shard is empty:
+//
+//   - Strict lanes are probed first, in class-set order, and re-probed
+//     before every dequeue, so no weighted job starts anywhere while a
+//     strict job waits anywhere — stolen work included: a thief always
+//     takes a waiting strict job over any weighted one. With the default
+//     class set: interactive always before batch.
+//   - Weighted lanes share the remaining dequeues deficit-weighted
+//     round-robin: each worker keeps a per-lane credit balance,
+//     replenished by weight when every balance is spent; a dequeue costs
+//     one credit, and a lane found empty forfeits its remaining credits
+//     for the round (work-conserving — an idle lane never banks credit).
+//     Under sustained all-class load each round starts Weight jobs per
+//     class, so class throughput is proportional to weight and every
+//     weighted class keeps making progress. Under an ordering policy the
+//     weighted classes share one lane, so the policy alone orders them.
+func (q *Queue) dequeue(p *placement, home *shard, credits []int, rot *int) (*shard, *Job) {
+	for _, l := range q.classes.strict {
+		if owner, job := q.popLane(p, home, l); job != nil {
+			return owner, job
+		}
+	}
+	// Two DWRR passes: pass one may find only creditless backlogged
+	// lanes (credit-holders all empty, forfeiting to zero); the second
+	// pass then replenishes and probes every weighted lane, so nil
+	// afterwards means all of them were truly empty.
+	w := q.weightedLanes
+	for pass := 0; pass < 2 && len(w) > 0; pass++ {
+		spent := true
+		for _, l := range w {
+			if credits[l] > 0 {
+				spent = false
+				break
 			}
-		default:
+		}
+		if spent {
+			for _, l := range w {
+				credits[l] = q.classes.specs[l].Weight
+			}
+		}
+		for i := range w {
+			k := (*rot + i) % len(w)
+			l := w[k]
+			if credits[l] <= 0 {
+				continue
+			}
+			owner, job := q.popLane(p, home, l)
+			if job == nil {
+				credits[l] = 0 // found empty: forfeit the round's remainder
+				continue
+			}
+			credits[l]--
+			*rot = k // keep serving this lane until its credit drains
+			if credits[l] == 0 {
+				*rot = (k + 1) % len(w) // quantum spent: move on
+			}
+			return owner, job
 		}
 	}
 	return nil, nil
 }
 
-// ---- the ordered worker loop (non-default DequeuePolicy) ----
-
-// runEpochOrdered is runEpoch's counterpart when a non-default
-// DequeuePolicy is active: instead of per-class FIFO channels consumed
-// in strict-then-DWRR order, every dequeue is a policy-ordered sweep of
-// the whole table (pickOrdered). Strict classes keep their absolute,
-// set-order priority; the policy orders jobs within each strict class
-// and across the pooled weighted tier (DWRR weights are not honored by
-// ordering policies — see DequeuePolicy). Returns true when the queue is
-// shut down and drained, false when the table was superseded by a resize
-// and the caller should re-home.
-//
-// Ordered workers never receive from a run-queue channel outside a
-// shard's lock and never block on one: idle workers park on the
-// queue-wide kick plus the fallback poll, and shutdown retires them via
-// the shards' closed flags and a kick cascade (Close does not close the
-// channels in this mode, so a sweep's putback can never hit a closed
-// channel).
-func (q *Queue) runEpochOrdered(p *placement, idx int, timer *time.Timer, ws *workerState) bool {
-	home := p.shards[workerHome(idx, len(p.shards), p.workers)]
-	for {
-		if q.place.Load() != p {
-			return false // table superseded: re-home
-		}
-		// Ring-published frames must enter the lanes before the ordered
-		// sweep can rank them; sweep every shard (the pick below spans
-		// the whole table anyway).
-		for _, s := range p.shards {
-			q.drainRing(p, s)
-		}
-		owner, job, homeClosed, valid := q.pickOrdered(p, home)
-		if !valid {
-			// A shard is mid-retirement; the new table is about to be
-			// published (or already is — the loop head catches it).
-			retryPlacement()
+// popLane pops lane l on the home shard, else on the other shards in
+// rotor order from home. Each probe reads the lane's atomic length and
+// takes that shard's lock only to pop — on home also when its submit
+// ring holds frames, which it ingests first under the same lock (a
+// dequeue's first probe is always on home, so ring-published frames
+// enter the lanes in near-arrival order relative to the locked submit
+// path). A job taken from another shard counts as stolen by home, and
+// its owner is the shard it came from, so the run's execution
+// accounting lands there.
+func (q *Queue) popLane(p *placement, home *shard, l int) (*shard, *Job) {
+	n := len(p.shards)
+	for off := 0; off < n; off++ {
+		s := p.shards[(home.idx+off)%n]
+		ingest := off == 0 && !s.ring.empty()
+		if !ingest && s.lanes[l].n.Load() == 0 {
 			continue
+		}
+		s.mu.Lock()
+		ingested := 0
+		if ingest && !s.retired && !s.closed {
+			ingested = q.drainRingLocked(p, s)
+		}
+		job := s.lanes[l].pop()
+		s.mu.Unlock()
+		if ingested > 0 {
+			q.kickWorkers()
 		}
 		if job != nil {
-			q.kickWorkers()
-			q.runJob(owner, home.idx, job, ws)
-			continue
-		}
-		if homeClosed {
-			// Home is closed and a full sweep — every shard, every class,
-			// under every shard lock — found nothing, so nothing admitted
-			// before the closed flag remains. Chain the kick so the other
-			// parked workers re-sweep and exit too.
-			q.kickWorkers()
-			return q.place.Load() == p
-		}
-		// About to park: publish buffered completions first (see runEpoch).
-		q.flushCompletions(ws)
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+			if s != home {
+				home.stolen.Add(1)
 			}
-		}
-		timer.Reset(stealPoll)
-		select {
-		case <-q.kick:
-		case <-timer.C:
+			return s, job
 		}
 	}
-}
-
-// pickOrdered selects the policy-best waiting job across the whole
-// table. It locks every shard in index order (Submit and Resize each
-// take one shard lock at a time, so the ascending multi-lock cannot
-// deadlock) and, tier by tier, drains each lane, keeps the best job by
-// q.deq.Before, and puts the rest back. The putback is safe because all
-// senders and receivers of these channels run under the shard locks this
-// sweep holds: the channel cannot be closed, filled, or reordered
-// underneath it, and a putback lands behind the bounded drain window so
-// it is never re-examined. valid is false when a shard was caught
-// mid-retirement (back out, nothing touched on it); homeClosed reports
-// the home shard's closed flag as observed under its lock.
-func (q *Queue) pickOrdered(p *placement, home *shard) (owner *shard, job *Job, homeClosed, valid bool) {
-	locked := 0
-	for _, s := range p.shards {
-		s.mu.Lock()
-		locked++
-		if s.retired {
-			for _, t := range p.shards[:locked] {
-				t.mu.Unlock()
-			}
-			return nil, nil, false, false
-		}
-	}
-	defer func() {
-		for _, s := range p.shards {
-			s.mu.Unlock()
-		}
-	}()
-	homeClosed = home.closed
-
-	pick := func(classes []int) (*shard, *Job) {
-		var bestS *shard
-		var best *Job
-		var bestView JobView
-		for _, s := range p.shards {
-			for _, c := range classes {
-				n := len(s.runq[c])
-				for i := 0; i < n; i++ {
-					j := <-s.runq[c]
-					if best == nil {
-						best, bestS, bestView = j, s, q.policyView(j)
-						continue
-					}
-					v := q.policyView(j)
-					if q.deq.Before(&v, &bestView) {
-						bestS.runq[best.class] <- best
-						best, bestS, bestView = j, s, v
-					} else {
-						s.runq[c] <- j
-					}
-				}
-			}
-		}
-		return bestS, best
-	}
-
-	cs := &q.classes
-	for _, c := range cs.strict {
-		if s, j := pick([]int{c}); j != nil {
-			owner, job = s, j
-			break
-		}
-	}
-	if job == nil && len(cs.weighted) > 0 {
-		owner, job = pick(cs.weighted)
-	}
-	if job != nil && owner != home {
-		// Same accounting as trySteal: a job dequeued from another shard
-		// counts as stolen by the worker's home.
-		home.stolen.Add(1)
-	}
-	return owner, job, homeClosed, true
+	return nil, nil
 }
 
 // ---- job execution ----
@@ -547,11 +368,12 @@ type runState struct {
 }
 
 // runTask is one algorithm run handed to a worker's persistent runner
-// lane: the job, the reply cell, and the run's start instant.
+// lane: the job, the reply cell, the run's start instant and deadline.
 type runTask struct {
-	job   *Job
-	rs    *runState
-	start time.Time
+	job     *Job
+	rs      *runState
+	start   time.Time
+	timeout time.Duration
 }
 
 // inlineUnitWall is the per-unit wall-clock ceiling the inline gate
@@ -607,12 +429,31 @@ func (q *Queue) executeRun(t runTask) {
 		defer job.touches.Add(-1)
 	}
 	o, err := core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
-	res := Result{Outcome: o}
-	res.Wall = time.Since(t.start)
-	rs.res, rs.err = res, err
-	// Loses against the worker's deadline finish when the job was
-	// abandoned; the computed result is dropped.
-	rs.won = job.markFinished(res, err, time.Now())
+	rs.res, rs.won, rs.err = q.finishRun(job, Result{Outcome: o, Wall: time.Since(t.start)}, err, t.timeout)
+}
+
+// finishRun turns a returned run terminal and reports the outcome it
+// recorded and whether it won the job's terminal transition — it loses
+// to the worker's deadline finish when the job was abandoned, and the
+// computed result is dropped. A run that outlived its deadline fails
+// after the fact and counts as a timeout: runs are never preempted, and
+// with the worker's P busy its deadline timer may not fire before the
+// run returns.
+func (q *Queue) finishRun(job *Job, res Result, err error, timeout time.Duration) (Result, bool, error) {
+	late := res.Wall > timeout
+	if late {
+		res, err = Result{Wall: res.Wall}, deadlineErr(job, timeout)
+	}
+	won := job.markFinished(res, err, time.Now())
+	if won && late {
+		q.timeouts.Add(1)
+	}
+	return res, won, err
+}
+
+// deadlineErr is the failure of a job that exceeded its deadline.
+func deadlineErr(job *Job, timeout time.Duration) error {
+	return fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", job.Name, timeout, context.DeadlineExceeded)
 }
 
 // runJob executes one job under its deadline; owner is the shard the job
@@ -681,17 +522,8 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 		// held-out deadline run whose orphan budget was exhausted (the
 		// worker rode out the whole run either way).
 		o, err := core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
-		res := Result{Outcome: o}
-		res.Wall = time.Since(start)
-		if res.Wall > timeout {
-			terr := fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", job.Name, timeout, context.DeadlineExceeded)
-			if job.markFinished(Result{}, terr, time.Now()) {
-				q.timeouts.Add(1)
-				q.bufferCompletion(ws, job, Result{}, terr, res.Wall, start)
-			}
-			return
-		}
-		if job.markFinished(res, err, time.Now()) {
+		res, won, err := q.finishRun(job, Result{Outcome: o, Wall: time.Since(start)}, err, timeout)
+		if won {
 			q.bufferCompletion(ws, job, res, err, res.Wall, start)
 		}
 		return
@@ -724,11 +556,7 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 				defer job.touches.Add(-1)
 			}
 			err := job.fn(ctx)
-			res := Result{Wall: time.Since(start)}
-			rs.res, rs.err = res, err
-			// Loses against the worker's deadline finish when the job
-			// was abandoned; the computed result is dropped.
-			rs.won = job.markFinished(res, err, time.Now())
+			rs.res, rs.won, rs.err = q.finishRun(job, Result{Wall: time.Since(start)}, err, timeout)
 		}()
 	} else {
 		if ws.deadline == nil {
@@ -745,7 +573,7 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 			ws.runner = make(chan runTask, 1)
 			go q.runnerLoop(ws.runner)
 		}
-		ws.runner <- runTask{job: job, rs: rs, start: start}
+		ws.runner <- runTask{job: job, rs: rs, start: start, timeout: timeout}
 	}
 
 	deadlined := false
@@ -765,7 +593,7 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 			q.bufferCompletion(ws, job, rs.res, rs.err, rs.res.Wall, start)
 		}
 	} else {
-		err := fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", job.Name, timeout, context.DeadlineExceeded)
+		err := deadlineErr(job, timeout)
 		if !job.markFinished(Result{}, err, time.Now()) {
 			// The runner finished in the same instant and won; adopt its
 			// outcome once rs.done publishes the fields.
