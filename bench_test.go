@@ -970,9 +970,9 @@ func BenchmarkJobQueueHTTPJobsPerSec(b *testing.B) {
 // BenchmarkJobQueueCacheHit measures the lock-free cache-hit fast path:
 // four concurrent submitters spray Submit calls over a 64-key hot set
 // that was fully executed during warmup, so every timed submission is
-// served from the shard's atomic read index without taking the shard
-// lock. shards=1 is the pure contention case — before the lock-free
-// index every hit serialized on the one shard mutex — and shards=4
+// served from the shard's cache buckets without taking the shard lock.
+// shards=1 is the pure contention case — before the lock-free read path
+// every hit serialized on the one shard mutex — and shards=4
 // shows the path scales past what sharding alone buys; cmd/benchgate
 // gates both via BENCH_BASELINE.json (acceptance: ≥1.5× the locked-path
 // baseline on the same machine).
@@ -992,7 +992,7 @@ func BenchmarkJobQueueCacheHit(b *testing.B) {
 				}
 			}
 			// Execute every hot key once; Wait returns only after the
-			// owning flush has published the result to the read index.
+			// owning flush has inserted the result into the cache.
 			for k := uint64(0); k < hotKeys; k++ {
 				job, err := q.Submit(spec(k))
 				if err != nil {
@@ -1042,52 +1042,62 @@ func BenchmarkJobQueueCacheHit(b *testing.B) {
 }
 
 // BenchmarkJobQueueSettle prices the batched completion path: unique
-// sub-µs PRAM jobs (cache disabled, so every one executes and settles)
-// on one shard, where before batching each completion took the shard
-// lock individually and the settle rate was the shard's lock rate. The
-// per-op job count (256) is a multiple of the flush threshold so full
-// flushes dominate; cmd/benchgate gates it via BENCH_BASELINE.json.
+// sub-µs PRAM jobs on one shard, where before batching each completion
+// took the shard lock individually and the settle rate was the shard's
+// lock rate. Every key is distinct, so every job executes and settles:
+// cache=off prices the flush alone, and cache=512 (lopramd's default
+// size) adds a cache insert per job, an eviction once the cache is full.
+// The per-op job count (256) is a multiple of the flush threshold so
+// full flushes dominate; cmd/benchgate gates both rows via
+// BENCH_BASELINE.json and their ratio in CI.
 func BenchmarkJobQueueSettle(b *testing.B) {
-	var seed atomic.Uint64
-	q := jobqueue.New(jobqueue.Config{
-		Workers: 4, Shards: 1,
-		QueueDepth: 8192, CacheSize: -1,
-	})
-	defer q.Close()
-	const batch = 256
-	const submitters = 4
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for s := 0; s < submitters; s++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				jobs := make([]*jobqueue.Job, 0, batch/submitters)
-				for j := 0; j < batch/submitters; j++ {
-					job, err := q.Submit(jobqueue.Spec{
-						Algorithm: "reduce", N: 8, P: 1,
-						Engine: core.EnginePRAM, Seed: seed.Add(1),
-					})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					jobs = append(jobs, job)
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"off", -1}, {"512", 512}} {
+		b.Run("cache="+c.name, func(b *testing.B) {
+			var seed atomic.Uint64
+			q := jobqueue.New(jobqueue.Config{
+				Workers: 4, Shards: 1,
+				QueueDepth: 8192, CacheSize: c.size,
+			})
+			defer q.Close()
+			const batch = 256
+			const submitters = 4
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for s := 0; s < submitters; s++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						jobs := make([]*jobqueue.Job, 0, batch/submitters)
+						for j := 0; j < batch/submitters; j++ {
+							job, err := q.Submit(jobqueue.Spec{
+								Algorithm: "reduce", N: 8, P: 1,
+								Engine: core.EnginePRAM, Seed: seed.Add(1),
+							})
+							if err != nil {
+								b.Error(err)
+								return
+							}
+							jobs = append(jobs, job)
+						}
+						for _, job := range jobs {
+							if _, err := job.Wait(context.Background()); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
 				}
-				for _, job := range jobs {
-					if _, err := job.Wait(context.Background()); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N*batch)/secs, "jobs/sec")
+				wg.Wait()
+			}
+			b.StopTimer()
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(b.N*batch)/secs, "jobs/sec")
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@
 // concurrent "run algorithm A at size n with p processors on engine E"
 // requests over HTTP/JSON, scheduling them across a sharded bounded
 // worker pool with idle-shard work stealing, per-priority-class admission
-// control and an LRU result cache (internal/jobqueue). See
+// control and a CLOCK result cache (internal/jobqueue). See
 // ARCHITECTURE.md for the layer diagram and docs/API.md for the full
 // HTTP reference.
 //
@@ -117,7 +117,7 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 1024, "base admission capacity across all shards (each priority class rides in its own quota×depth lane)")
 		batchShare = flag.Float64("batch-share", 0.5, "admission quota of the default class set's batch lane, as a fraction of -queue-depth (ignored when -classes is set)")
 		classesCSV = flag.String("classes", "", `priority classes as name:weight[:quota],... — weight "strict" or an integer (dequeue share), quota in (0,1] (admission lane fraction, default 1); empty keeps the default interactive:strict:1,batch:1:<batch-share>`)
-		cacheSize  = flag.Int("cache", 512, "LRU result cache entries across all shards (-1 disables)")
+		cacheSize  = flag.Int("cache", 512, "result cache entries across all shards, evicted by CLOCK, an approximate LRU (-1 disables)")
 		timeout    = flag.Duration("timeout", 60*time.Second, "default per-job deadline")
 		autoscaleS = flag.String("autoscale", "", `serve mode: contention-driven shard autoscaling as min:max[:interval[:high[:low]]] (e.g. "1:8" or "1:8:250ms:4:0.5"); empty keeps the shard count fixed unless POST /v1/resize moves it`)
 		deqPolicy  = flag.String("dequeue-policy", "", `dequeue policy: default (strict-then-DWRR), fcfs, sjf (predicted-cost shortest job first) or edf (earliest deadline first); empty keeps the default`)

@@ -129,12 +129,12 @@ func (q *Queue) bufferCompletion(ws *workerState, job *Job, res Result, err erro
 //
 // Phase 1 lands the keyed state — inflight-entry delete and cache
 // insert — on each outcome's home shard under the *current* placement
-// table, one lock acquisition per home shard per pass, republishing the
-// shard's lock-free read index once per dirtied shard. A shard caught
-// mid-retirement is skipped and the pass retried against the new table
-// (per-item published flags keep landed items from re-publishing), the
-// same forwarding rule the per-job settle used: results land where
-// duplicates will look for them.
+// table, one lock acquisition per home shard per pass. Each cache insert
+// is O(1) and visible to lock-free readers at once (see resultCache). A
+// shard caught mid-retirement is skipped and the pass retried against
+// the new table (per-item published flags keep landed items from
+// re-publishing), the same forwarding rule the per-job settle used:
+// results land where duplicates will look for them.
 //
 // Phase 2 records the worker-local metrics (one lock on the worker's
 // own metric shard for the whole buffer), then per item: completes the
@@ -184,7 +184,6 @@ func (q *Queue) flushCompletions(ws *workerState) {
 				retry = true
 				continue
 			}
-			dirty := false
 			for i := range ws.buf {
 				c := &ws.buf[i]
 				if c.published || c.shard != si {
@@ -201,15 +200,11 @@ func (q *Queue) flushCompletions(ws *workerState) {
 							// hit is served without rendering.
 							c.cacheName = c.job.Spec.String()
 						}
-						s.cache.put(c.key, c.cacheName, c.res)
-						dirty = true
+						s.cache.put(c.key, c.cacheName, c.res, false)
 					}
 				}
 				c.epoch = p.epoch
 				c.published = true
-			}
-			if dirty {
-				s.republishReadIndex()
 			}
 			s.mu.Unlock()
 		}
@@ -277,19 +272,4 @@ func (q *Queue) flushCompletions(ws *workerState) {
 		*c = completion{}
 	}
 	ws.buf = ws.buf[:0]
-}
-
-// republishReadIndex rebuilds the shard's lock-free cache read index
-// from the locked LRU and publishes it atomically. The caller holds
-// s.mu (or owns the shard exclusively: Resize builds unpublished
-// tables lock-free). Skipped on closed shards — Close clears the index
-// so post-shutdown submissions fall through to the locked path's
-// ErrClosed — and when caching is disabled.
-func (s *shard) republishReadIndex() {
-	if s.closed || s.cache == nil || s.cache.cap <= 0 {
-		return
-	}
-	m := make(map[Key]cached, s.cache.len())
-	s.cache.each(func(k Key, name string, r Result) { m[k] = cached{name: name, res: r} })
-	s.cacheIdx.Store(&m)
 }

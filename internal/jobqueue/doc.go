@@ -3,8 +3,9 @@
 // simulation-job requests ("run algorithm A at size n with p processors on
 // engine E"), validate and admission-control them per priority class,
 // schedule them across workers with idle-shard work stealing, memoize
-// completed results in per-shard LRU caches, and aggregate serving
-// statistics into one merged snapshot.
+// completed results in per-shard result caches (CLOCK eviction, hits
+// served without a lock), and aggregate serving statistics into one
+// merged snapshot.
 //
 // # Sharding and elasticity
 //
@@ -45,8 +46,21 @@
 // shard's lock, so admission refusals return from the call; a Batch
 // publishes its pooled frames to the shard's submit ring, and whoever
 // drains the ring runs the same function. Both spec routes first try one
-// shared lock-free cache probe. A coalesced Submit returns its own job,
-// which completes with the run it joined.
+// shared lock-free cache probe, which reads the same cache lookup the
+// admission function does under the lock. A coalesced Submit returns its
+// own job, which completes with the run it joined.
+//
+// # Result cache and completion
+//
+// Each shard's result cache is a CLOCK ring (an approximate LRU) beside
+// a table of buckets that readers load atomically: a hit sets the
+// entry's reference bit and takes no lock, so keys in use stay cached
+// while one-off keys are evicted first, and an insert or eviction
+// costs O(1) under the shard lock. Workers settle finished jobs in
+// batches (at most 32 per flush), but flush before parking and before
+// any run off the inline path, so a finished job's waiter never sits
+// behind an unrelated long run; only inline runs, predicted far under
+// their deadlines, accumulate completions behind one another.
 //
 // # Priority classes
 //

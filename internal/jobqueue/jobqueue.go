@@ -58,9 +58,12 @@ type Config struct {
 	// class can consume another's admission slots. Submissions beyond a
 	// shard's class lane fail fast with ErrQueueFull. Default 1024.
 	QueueDepth int
-	// CacheSize is the total LRU result-cache capacity in entries,
-	// divided evenly among shards. Default 512; negative disables
-	// caching.
+	// CacheSize is the total result-cache capacity in entries, divided
+	// evenly among shards; each shard evicts by CLOCK, an approximate
+	// LRU. Each shard allocates its bucket table up front, 16–32 bytes
+	// per entry of capacity (a power-of-two table of at least 2×
+	// capacity), and entries as results arrive. Default 512; negative
+	// disables caching.
 	CacheSize int
 	// DefaultTimeout caps each job's execution when neither its spec nor
 	// its priority class sets a deadline. Default 60s.
@@ -367,10 +370,9 @@ func (q *Queue) Close() {
 	for _, s := range p.shards {
 		s.mu.Lock()
 		s.closed = true
-		// Clear the lock-free read index so post-shutdown submissions
-		// miss and fall through to the locked path's ErrClosed; the
-		// closed flag keeps any concurrent flush from republishing it.
-		s.cacheIdx.Store(nil)
+		// Unpublish the cache so post-shutdown submissions miss and fall
+		// through to the locked path's ErrClosed.
+		s.cacheLive.Store(nil)
 		s.mu.Unlock()
 	}
 	// Seal the submit rings now that every shard refuses ingest: late
@@ -470,20 +472,16 @@ func (q *Queue) SubmitFunc(name string, fn func(ctx context.Context) error) (*Jo
 }
 
 // probeCache is the lock-free cache-hit fast path shared by Submit and
-// Batch.Submit: it serves j from its home shard's immutable read index
-// without touching the shard mutex and reports whether it did. A hit that
-// races an insert, eviction, resize migration or shutdown linearizes
-// before it — the index snapshot was the cache's published contents, and
-// cached results are immutable. Misses (index nil, caching off, key
-// absent) fall through to admission under the lock.
+// Batch.Submit: it serves j from its home shard's cache without touching
+// the shard mutex and reports whether it did. A hit that races an
+// insert, eviction, resize migration or shutdown linearizes before it —
+// the entry was in the cache when the bucket was read, and cached
+// results are immutable. Misses (caching off, shard closed or retired,
+// key absent) fall through to admission under the lock.
 func (q *Queue) probeCache(j *Job, key Key) bool {
 	p := q.place.Load()
 	s := p.shardFor(key)
-	idx := s.cacheIdx.Load()
-	if idx == nil {
-		return false
-	}
-	e, ok := (*idx)[key]
+	e, ok := s.lookup(key)
 	if !ok {
 		return false
 	}
@@ -495,7 +493,7 @@ func (q *Queue) probeCache(j *Job, key Key) bool {
 // serves are near-instant: they skip the latency samples, are not
 // retained for Get/Jobs (the caller holds the only handle), and report
 // the original run's Wall.
-func (q *Queue) serveCached(shard int, epoch uint64, j *Job, e cached, now time.Time) {
+func (q *Queue) serveCached(shard int, epoch uint64, j *Job, e *cacheEntry, now time.Time) {
 	j.ID = q.newID(shard)
 	j.submitShard = shard
 	j.submitEpoch = epoch
@@ -576,7 +574,7 @@ func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) (queued bool, err er
 	var key Key
 	if j.fn == nil {
 		key = j.Spec.key()
-		if e, ok := s.cache.get(key); ok {
+		if e, ok := s.lookup(key); ok {
 			q.serveCached(s.idx, epoch, j, e, now)
 			return false, nil
 		}

@@ -77,7 +77,7 @@ func (q *Queue) NumShards() int { return len(q.place.Load().shards) }
 // Resize grows or shrinks the shard set to n, migrating state so that no
 // admitted job is lost or re-executed and no cached result is orphaned:
 //
-//   - Completed results (the LRU caches) and in-flight coalescing entries
+//   - Completed results (the result caches) and in-flight coalescing entries
 //     re-hash onto the new table, so a duplicate submitted after the swap
 //     still cache-hits or coalesces.
 //   - Admitted-but-unstarted jobs are drained from the old run queues and
@@ -162,8 +162,8 @@ func (q *Queue) Resize(n int) (uint64, error) {
 	// the workers' metric shards, which a resize never touches.
 	for _, s := range old.shards {
 		s.mu.Lock()
-		s.cache.each(func(k Key, name string, r Result) {
-			shards[shardIndexFor(k, n)].cache.put(k, name, r)
+		s.cache.each(func(k Key, name string, r Result, ref bool) {
+			shards[shardIndexFor(k, n)].cache.put(k, name, r, ref)
 		})
 		for k, job := range s.inflight {
 			shards[shardIndexFor(k, n)].inflight[k] = job
@@ -176,12 +176,12 @@ func (q *Queue) Resize(n int) (uint64, error) {
 		// Free the migrated structures; only the executed/stolen
 		// counters live on — the shard joins q.retiredShards below so
 		// late increments from a racing dequeue are never lost from the
-		// totals. The read index is cleared so a stale fast-path load
-		// cannot outlive the shard by more than the pointer it already
-		// holds (which still serves immutable, once-valid results).
+		// totals. The cache is unpublished, so a stale fast-path reader
+		// keeps at most the cache it already holds, which nothing writes
+		// again and which serves immutable, once-valid results.
 		s.byID, s.inflight, s.retained = nil, nil, nil
-		s.cache = newLRU(0)
-		s.cacheIdx.Store(nil)
+		s.cache = newResultCache(0)
+		s.cacheLive.Store(nil)
 		s.mu.Unlock()
 	}
 	for _, ns := range shards {
@@ -211,12 +211,6 @@ func (q *Queue) Resize(n int) (uint64, error) {
 	// pre-resize.
 	for _, j := range ringBacklog {
 		q.admitLocked(shards[shardIndexFor(j.Spec.key(), n)], old.epoch+1, j)
-	}
-	// Publish each new shard's lock-free read index now that its cache
-	// holds the full migrated (plus re-ingested) contents, so fast-path
-	// hits work from the first instant the table is visible.
-	for _, ns := range shards {
-		ns.republishReadIndex()
 	}
 
 	// A table wider than the worker pool would leave shards with no home

@@ -22,11 +22,11 @@ const stealPoll = 10 * time.Millisecond
 
 // shard is one independent slice of the queue: its own run queues,
 // worker pool, coalescing map, and result cache. All mutable state is
-// guarded by mu except the atomic gauges and the lock-free cache read
-// index; nothing on a shard is touched by another shard's submissions,
-// so contention is confined to the traffic hashed here. (Latency rings
-// and per-algorithm aggregates live on the workers' own metric shards —
-// see workerMetrics — not here.)
+// guarded by mu except the atomic gauges and the cache's lock-free read
+// side (lookup); nothing on a shard is touched by another shard's
+// submissions, so contention is confined to the traffic hashed here.
+// (Latency rings and per-algorithm aggregates live on the workers' own
+// metric shards — see workerMetrics — not here.)
 type shard struct {
 	idx int
 	// lanes holds the admitted-but-not-started jobs, one run queue per
@@ -60,17 +60,15 @@ type shard struct {
 	byID     map[uint64]*Job
 	retained []uint64 // submission order, for retention eviction
 	inflight map[Key]*Job
-	cache    *lru
-	limit    int // retention bound for this shard
+	cache    *resultCache // written under mu; read through cacheLive
+	limit    int          // retention bound for this shard
 
-	// cacheIdx is the lock-free read side of the result cache: an atomic
-	// pointer to an immutable snapshot of the LRU's contents, republished
-	// by whoever mutates the cache under mu (republishReadIndex). Submit
-	// and Batch.Submit serve cache hits from it without touching mu; a
-	// hit races a concurrent insert/eviction/resize only by linearizing
-	// before it, which is sound because cached results are immutable.
-	// Nil when caching is disabled, after Close, and on retired shards.
-	cacheIdx atomic.Pointer[map[Key]cached]
+	// cacheLive points at cache while the shard serves cache reads: nil
+	// when caching is disabled, after Close, and on retired shards.
+	// lookup reads through it, so a reader still holding a closed or
+	// retired shard can only miss, or read an immutable, once-valid
+	// result.
+	cacheLive atomic.Pointer[resultCache]
 
 	pending  atomic.Int64 // jobs admitted here, not yet started
 	executed atomic.Int64 // runs of jobs homed here (by any worker)
@@ -95,14 +93,28 @@ func (q *Queue) newShard(idx, n int) *shard {
 		laneUsed:   make([]atomic.Int64, classes),
 		byID:       make(map[uint64]*Job),
 		inflight:   make(map[Key]*Job),
-		cache:      newLRU(cacheCap),
+		cache:      newResultCache(cacheCap),
 		limit:      perShard(q.cfg.Retain, n),
+	}
+	if cacheCap > 0 {
+		s.cacheLive.Store(s.cache)
 	}
 	for c := range s.lanes {
 		s.lanes[c].deq = q.deq
 		s.laneDepths[c] = q.classes.laneDepth(c, depth)
 	}
 	return s
+}
+
+// lookup is the one cache read of both hit paths: probeCache calls it
+// without the lock, admitLocked under s.mu. A hit sets the entry's
+// CLOCK reference bit.
+func (s *shard) lookup(key Key) (*cacheEntry, bool) {
+	c := s.cacheLive.Load()
+	if c == nil {
+		return nil, false
+	}
+	return c.get(key)
 }
 
 // insertLocked registers the job for Get/Jobs and evicts over-retention
