@@ -57,6 +57,30 @@ func TestRepoDocsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(broken) > 0 {
-		t.Errorf("repository has broken relative Markdown links:\n%s", strings.Join(broken, "\n"))
+		t.Errorf("repository has broken relative Markdown links or unknown test names:\n%s", strings.Join(broken, "\n"))
+	}
+}
+
+func TestCheckTreeTestNames(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "pkg", "a_test.go"), "package pkg\n\n"+
+		"import \"testing\"\n\n"+
+		"func TestReal(t *testing.T) {}\n\n"+
+		"type s struct{}\n\n"+
+		"func (s) TestMethod() {}\n")
+	write(t, filepath.Join(dir, "ARCHITECTURE.md"), "pinned by `TestReal`\nand by `TestGone`\nand by `TestMethod`")
+	write(t, filepath.Join(dir, "docs", "API.md"), "see `TestReal` and `Testing` and `TestAlsoGone`")
+	write(t, filepath.Join(dir, "CHANGES.md"), "deleted `TestGone`")
+	broken, err := checkTree(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		filepath.Join(dir, "ARCHITECTURE.md") + ":2: no test named: TestGone",
+		filepath.Join(dir, "ARCHITECTURE.md") + ":3: no test named: TestMethod",
+		filepath.Join(dir, "docs", "API.md") + ":1: no test named: TestAlsoGone",
+	}
+	if strings.Join(broken, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("broken =\n%s\nwant\n%s", strings.Join(broken, "\n"), strings.Join(want, "\n"))
 	}
 }

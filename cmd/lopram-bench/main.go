@@ -4,45 +4,21 @@
 //
 // Usage:
 //
-//	lopram-bench            # full suite, E1…E14 + ablations A1…A4
+//	lopram-bench            # full suite, E1…E18 + ablations A1…A8
 //	lopram-bench -exp E5    # a single experiment
 //	lopram-bench -quick     # trimmed parameter sweeps
 //	lopram-bench -list      # list experiment ids and titles
-//
-// -scenario switches to scenario-replay mode: replay one load scenario
-// (a built-in name or a JSON spec file) against a fresh queue and print
-// the serving report — the driver behind ingest-path A/B runs.
-// -ingest single|batch overrides the spec's submit path and -batch-size
-// its batch group size, so one spec compares both paths:
-//
-//	lopram-bench -scenario cache-friendly-repeat -ingest single
-//	lopram-bench -scenario cache-friendly-repeat -ingest batch -batch-size 128
-//
-// -wire json|binary replays the scenario's exact job stream over HTTP
-// instead of in-process — one POST /v1/jobs:stream connection in the
-// chosen wire flavor, against an in-process server (or a running
-// lopramd named by -addr) — so the two codecs A/B on identical work:
-//
-//	lopram-bench -scenario cache-friendly-repeat -wire json
-//	lopram-bench -scenario cache-friendly-repeat -wire binary
-//	lopram-bench -scenario uniform-small -wire binary -addr http://127.0.0.1:8080
+//	lopram-bench -jobs 8    # dispatch the suite through the job queue
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"time"
 
 	"lopram/internal/experiments"
 	"lopram/internal/jobqueue"
-	"lopram/internal/lopramhttp"
-	"lopram/internal/scenario"
-	"lopram/internal/wire"
 )
 
 func main() {
@@ -50,33 +26,7 @@ func main() {
 	quick := flag.Bool("quick", false, "trim parameter sweeps for a fast pass")
 	list := flag.Bool("list", false, "list experiment ids")
 	jobs := flag.Int("jobs", 0, "run the suite through the jobqueue dispatcher with this many workers (0 = sequential)")
-	scenarioID := flag.String("scenario", "", "scenario-replay mode: replay a built-in scenario by name, or a JSON spec file by path, and exit")
-	ingest := flag.String("ingest", "", `scenario-replay ingest override: "single" or "batch" (empty keeps the spec's own path)`)
-	batchSize := flag.Int("batch-size", 0, "scenario-replay batch-ingest group size (implies -ingest batch; 0 keeps the spec's own)")
-	wireProto := flag.String("wire", "", `scenario-replay over HTTP: stream the jobs through POST /v1/jobs:stream in the "json" or "binary" wire flavor`)
-	addr := flag.String("addr", "", "server root for -wire (e.g. http://127.0.0.1:8080; empty spins an in-process server)")
 	flag.Parse()
-
-	if *scenarioID != "" {
-		var err error
-		switch {
-		case *wireProto != "" && (*ingest != "" || *batchSize != 0):
-			err = fmt.Errorf("-wire replaces the in-process ingest; drop -ingest/-batch-size")
-		case *wireProto != "":
-			err = replayScenarioWire(*scenarioID, *wireProto, *addr)
-		default:
-			err = replayScenario(*scenarioID, *ingest, *batchSize)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lopram-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ingest != "" || *batchSize != 0 || *wireProto != "" || *addr != "" {
-		fmt.Fprintln(os.Stderr, "lopram-bench: -ingest/-batch-size/-wire/-addr need -scenario")
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, r := range experiments.All(true) {
@@ -123,137 +73,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("all %d experiments PASS\n", len(reports))
-}
-
-// resolveScenario turns the -scenario argument into a spec: built-in
-// name first, then JSON spec file.
-func resolveScenario(nameOrPath string) (scenario.Spec, error) {
-	sp, ok := scenario.Builtin(nameOrPath)
-	if !ok {
-		data, err := os.ReadFile(nameOrPath)
-		if err != nil {
-			return sp, fmt.Errorf("%q is neither a built-in scenario nor a readable spec file: %v", nameOrPath, err)
-		}
-		if err := json.Unmarshal(data, &sp); err != nil {
-			return sp, fmt.Errorf("parsing scenario file %s: %w", nameOrPath, err)
-		}
-	}
-	return sp, nil
-}
-
-// replayScenario resolves the -scenario argument, applies the
-// -ingest/-batch-size overrides, and replays it against a fresh queue
-// shaped by scenario.QueueConfig.
-func replayScenario(nameOrPath, ingest string, batchSize int) error {
-	sp, err := resolveScenario(nameOrPath)
-	if err != nil {
-		return err
-	}
-	if batchSize != 0 && ingest == "" {
-		ingest = scenario.IngestBatch
-	}
-	switch ingest {
-	case "":
-	case scenario.IngestSingle:
-		sp.Ingest, sp.BatchSize = scenario.IngestSingle, 0
-	case scenario.IngestBatch:
-		sp.Ingest = scenario.IngestBatch
-		if batchSize != 0 {
-			sp.BatchSize = batchSize
-		}
-	default:
-		return fmt.Errorf("unknown -ingest %q (want %q or %q)", ingest, scenario.IngestSingle, scenario.IngestBatch)
-	}
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	q := jobqueue.New(scenario.QueueConfig(sp))
-	defer q.Close()
-	rep, err := scenario.Run(context.Background(), q, sp)
-	if err != nil {
-		return err
-	}
-	rep.WriteText(os.Stdout)
-	m := q.Snapshot()
-	fmt.Printf("  queue: %d workers × %d shards · ingest %s\n", m.Workers, m.Shards, ingestOf(sp))
-	return nil
-}
-
-// ingestOf names the replay's effective ingest path for the summary line.
-func ingestOf(sp scenario.Spec) string {
-	if sp.Ingest == scenario.IngestBatch {
-		return fmt.Sprintf("%s×%d", scenario.IngestBatch, sp.BatchSize)
-	}
-	return scenario.IngestSingle
-}
-
-// replayScenarioWire streams the scenario's exact job sequence through
-// POST /v1/jobs:stream in the chosen wire flavor — against a running
-// server named by addr, or an in-process one spun from the scenario's
-// own queue config — and prints a throughput summary. The job stream
-// is materialized up front so the timed section measures the wire
-// path, not the generator.
-func replayScenarioWire(nameOrPath, proto, addr string) error {
-	sp, err := resolveScenario(nameOrPath)
-	if err != nil {
-		return err
-	}
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	specs, err := scenario.Stream(sp)
-	if err != nil {
-		return err
-	}
-
-	httpc := http.DefaultClient
-	classes := sp.Classes
-	if len(classes) == 0 {
-		// Mirror the server's effective class set so class ids agree.
-		classes = jobqueue.DefaultClasses(0)
-	}
-	base := addr
-	if addr == "" {
-		q := jobqueue.New(scenario.QueueConfig(sp))
-		defer q.Close()
-		srv := httptest.NewServer(lopramhttp.NewMux(q))
-		defer srv.Close()
-		httpc, base, classes = srv.Client(), srv.URL, q.Classes()
-	}
-	cl, err := wire.NewClient(httpc, base, proto, classes)
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	results, err := cl.Stream(specs)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	var done, failed, cached int
-	for i := range results {
-		switch {
-		case !results[i].Done:
-			failed++
-		case results[i].Res.Cached:
-			done++
-			cached++
-		default:
-			done++
-		}
-	}
-	fmt.Printf("scenario %s over wire=%s (%s)\n", sp.Name, proto, serverOf(addr))
-	fmt.Printf("  jobs %d · done %d · failed %d · cached %d\n", len(results), done, failed, cached)
-	fmt.Printf("  wall %.3fs · %.0f jobs/sec\n", elapsed.Seconds(), float64(len(results))/elapsed.Seconds())
-	return nil
-}
-
-// serverOf names the wire replay's target for the summary line.
-func serverOf(addr string) string {
-	if addr == "" {
-		return "in-process server"
-	}
-	return addr
 }

@@ -77,9 +77,16 @@ func (j *Job) release() {
 	jobPool.Put(j)
 }
 
-// Batch is a group of jobs submitted through the pooled, ring-published
-// ingest path: the zero-allocation counterpart of calling Submit in a
-// loop. Usage is submit → wait → read outcomes → release:
+// stageK is how many staged frames a Batch holds before SubmitSpec
+// admits them. It bounds how late a staged frame enters the queue, and
+// it keeps a large batch from reaching a class lane in one burst. It is
+// lopramhttp's stream micro-batch size, so a stream admits each
+// micro-batch once.
+const stageK = 64
+
+// Batch is a group of jobs submitted through the pooled ingest path: the
+// zero-allocation counterpart of calling Submit in a loop. Usage is
+// submit → wait → read outcomes → release:
 //
 //	b := q.NewBatch()
 //	for _, spec := range specs {
@@ -100,6 +107,10 @@ func (j *Job) release() {
 type Batch struct {
 	q    *Queue
 	jobs []*Job
+	// staged holds the submitted frames not yet admitted, in submission
+	// order. They are in no run queue until admit takes their home
+	// shard's lock, so a resize or Close needs to know nothing of them.
+	staged []*Job
 	// pending counts submitted-but-not-terminal frames; donec carries the
 	// completion token: jobDone sends (non-blocking, capacity 1) when
 	// pending reaches zero, and Wait re-checks pending after every
@@ -119,16 +130,14 @@ func (q *Queue) NewBatch() *Batch {
 // including ones refused at submission (their Outcome carries the error).
 func (b *Batch) Len() int { return len(b.jobs) }
 
-// Submit validates a spec and publishes a pooled frame for it on its home
-// shard's submit ring — without taking the shard lock on the fast path;
-// a shard worker (or, when the ring is full, this goroutine helping
-// drain) performs the admission, coalescing and cache steps. Every call
-// appends exactly one outcome slot, so index i of Outcome always pairs
-// with the i-th Submit; the returned error (validation failure, unknown
-// class, ErrQueueFull at help-drain, ErrClosed) is also what that slot's
-// Outcome reports. Note admission-control refusals normally surface
-// through Outcome, not this return value: the frame is published first
-// and admission happens at drain.
+// Submit validates a spec and stages a pooled frame for it. Staged
+// frames are admitted — cache, coalescing and admission control, as for
+// Submit — under their home shard's lock, stageK at a time and at Wait.
+// Every call appends exactly one outcome slot, so index i of Outcome
+// always pairs with the i-th Submit; the returned error (validation
+// failure, unknown class, ErrClosed) is also what that slot's Outcome
+// reports. Admission-control refusals (ErrQueueFull,
+// ErrDeadlineInfeasible) surface through Outcome, not this return value.
 func (b *Batch) Submit(spec Spec) error { return b.SubmitSpec(&spec) }
 
 // SubmitSpec is Submit for specs decoded in place: the binary wire
@@ -152,45 +161,83 @@ func (b *Batch) SubmitSpec(spec *Spec) error {
 		j.signalDone()
 		return err
 	}
+	if q.closed.Load() {
+		return q.refuseClosed(j, now)
+	}
 	key := spec.key()
 	if q.cal != nil {
 		j.cost = q.cal.estimate(*spec, key.P)
 	}
-	// A hit turns the frame terminal in place without ring publication, a
-	// pending count, or — on an untraced queue — any allocation. The frame
-	// never acquires a notify hook, mirroring the validation-refusal path
+	// A hit turns the frame terminal in place without staging, a pending
+	// count, or — on an untraced queue — any allocation. The frame never
+	// acquires a notify hook, mirroring the validation-refusal path
 	// above, so Wait/Outcome/Release semantics are unchanged.
 	if q.probeCache(j, key) {
 		return nil
 	}
 	j.notify = b
 	b.pending.Add(1)
-	for {
+	b.staged = append(b.staged, j)
+	if len(b.staged) >= stageK {
+		b.admit()
+	}
+	return nil
+}
+
+// admit runs admitLocked on every staged frame, taking each home shard's
+// lock once, and kicks the workers once if any frame was queued. Like
+// phase 1 of flushCompletions it resolves homes under the current table
+// and retries against the new table when it catches a shard retired by
+// a resize; a closed shard refuses its frames with ErrClosed. Within a
+// shard, frames are admitted in submission order, so the first of equal
+// keys is the one that runs.
+func (b *Batch) admit() {
+	q := b.q
+	queued := false
+	for len(b.staged) > 0 {
 		p := q.place.Load()
-		s := p.shardFor(key)
-		if s.ring.publish(j) == ringOK {
-			q.kickWorkers()
-			return nil
+		for _, j := range b.staged {
+			// The home index rides in submitShard, which admitLocked
+			// sets to the same value.
+			j.submitShard = shardIndexFor(j.Spec.key(), len(p.shards))
 		}
-		// The ring is sealed (the shard left the table: a resize retired
-		// it or shutdown closed it, and the flag was set before the seal)
-		// or full (the drain side is saturated). Either way the flags
-		// under the shard lock decide: follow a retired shard's keys to
-		// the new table, refuse on a closed one, else help drain the
-		// backlog and retry — FIFO is preserved, the backlog is admitted
-		// before this frame republishes.
-		s.mu.Lock()
-		switch {
-		case s.closed:
+		for i, j := range b.staged {
+			if j == nil {
+				continue
+			}
+			s := p.shards[j.submitShard]
+			s.mu.Lock()
+			if s.retired {
+				s.mu.Unlock()
+				break // a resize is replacing the table
+			}
+			for k := i; k < len(b.staged); k++ {
+				f := b.staged[k]
+				if f == nil || f.submitShard != s.idx {
+					continue
+				}
+				b.staged[k] = nil
+				if s.closed {
+					q.refuseClosed(f, time.Now())
+				} else if ok, _ := q.admitLocked(s, p.epoch, f); ok {
+					queued = true
+				}
+			}
 			s.mu.Unlock()
-			return q.refuseClosed(j, now)
-		case s.retired:
-			s.mu.Unlock()
+		}
+		left := b.staged[:0]
+		for _, j := range b.staged {
+			if j != nil {
+				left = append(left, j)
+			}
+		}
+		b.staged = left
+		if len(left) > 0 {
 			retryPlacement()
-		default:
-			q.drainRingLocked(p, s)
-			s.mu.Unlock()
 		}
+	}
+	if queued {
+		q.kickWorkers()
 	}
 }
 
@@ -205,11 +252,13 @@ func (b *Batch) jobDone() {
 	}
 }
 
-// Wait blocks until every submitted job is terminal or ctx expires. A nil
-// return means all outcomes are readable and Release is safe; on a ctx
-// error some frames are still in flight and the batch must NOT be
-// released (leak it to the GC — the arena refills itself).
+// Wait admits the staged frames, then blocks until every submitted job
+// is terminal or ctx expires. A nil return means all outcomes are
+// readable and Release is safe; on a ctx error some frames are still in
+// flight and the batch must NOT be released (leak it to the GC — the
+// arena refills itself).
 func (b *Batch) Wait(ctx context.Context) error {
+	b.admit()
 	for {
 		if b.pending.Load() <= 0 {
 			return nil
@@ -239,6 +288,7 @@ func (b *Batch) Release() {
 		b.jobs[i] = nil
 	}
 	b.jobs = b.jobs[:0]
+	b.staged = b.staged[:0] // already empty unless Wait never ran
 	b.pending.Store(0)
 	select {
 	case <-b.donec: // drop a stale completion token

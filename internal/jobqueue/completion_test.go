@@ -134,10 +134,10 @@ func TestBatchedSettleResizeDuplicateStorm(t *testing.T) {
 // TestCacheHitSubmitAllocs pins the allocation cost of the cache-hit
 // submit paths. The pooled batch path must be allocation-free: the
 // frame comes from the arena and the hit is served from the lock-free
-// read index without ring publication, a done channel, or a rendered
-// name. The single-Submit path returns an escaping *Job — that is its
-// API — so it is held to exactly that one allocation (the name comes
-// pre-rendered from the cache entry).
+// read index without staging, a done channel, or a rendered name. The
+// single-Submit path returns an escaping *Job — that is its API — so it
+// is held to exactly that one allocation (the name comes pre-rendered
+// from the cache entry).
 func TestCacheHitSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates, distorting the counts")
@@ -268,7 +268,7 @@ func TestIngestChainsOntoFinishedUnflushedWinner(t *testing.T) {
 	}
 	p := q.place.Load()
 	s := p.shardFor(spec.key())
-	q.drainRing(p, s)
+	b.admit()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := b.Wait(ctx); err == nil {

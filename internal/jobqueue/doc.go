@@ -40,15 +40,16 @@
 // # One way in
 //
 // Submit, SubmitFunc and the pooled Batch path reach the queue through
-// one admission function: assign the ID, serve a cached result, coalesce
-// a duplicate by chaining it onto the in-flight run, then enqueue or
-// refuse. Submit and SubmitFunc run it synchronously under the home
-// shard's lock, so admission refusals return from the call; a Batch
-// publishes its pooled frames to the shard's submit ring, and whoever
-// drains the ring runs the same function. Both spec routes first try one
-// shared lock-free cache probe, which reads the same cache lookup the
-// admission function does under the lock. A coalesced Submit returns its
-// own job, which completes with the run it joined.
+// one admission function, always under the home shard's lock: assign the
+// ID, serve a cached result, coalesce a duplicate by chaining it onto the
+// in-flight run, then enqueue or refuse. Submit and SubmitFunc run it
+// synchronously, so admission refusals return from the call; a Batch
+// stages its pooled frames and admits them together, taking each home
+// shard's lock once, whenever stageK frames are staged and at Wait. Both
+// spec routes first try one shared lock-free cache probe, which reads
+// the same cache lookup the admission function does under the lock. A
+// coalesced Submit returns its own job, which completes with the run it
+// joined.
 //
 // # Result cache and completion
 //

@@ -141,7 +141,7 @@ type Job struct {
 	// pooled marks a frame borrowed from the batch frame arena
 	// (Batch.Submit): admission skips ID retention for it and
 	// Batch.Release recycles it. notify, set before the frame is
-	// published, is the owning Batch, told once when the frame turns
+	// staged, is the owning Batch, told once when the frame turns
 	// terminal. Both are fixed for the frame's flight, so they need no
 	// lock.
 	pooled bool

@@ -166,9 +166,12 @@ type Queue struct {
 	// cross-shard stealing reacts immediately instead of waiting for the
 	// fallback poll. Capacity 1: a pending kick means some worker will
 	// sweep every shard, which discovers all stealable work.
-	kick    chan struct{}
-	closeMu sync.Mutex
-	closed  bool
+	kick chan struct{}
+	// closed is set once, by the Close that claims shutdown. Batch
+	// staging reads it for every frame, and a worker reads it before
+	// parking; the shards' own closed flags, set under their locks, are
+	// what admission obeys.
+	closed atomic.Bool
 
 	// resizeMu serializes Resize against itself and against Close, so a
 	// placement swap and a shutdown can never interleave their shard
@@ -339,24 +342,13 @@ func New(cfg Config) *Queue {
 	return q
 }
 
-// isClosed reports whether Close has begun.
-func (q *Queue) isClosed() bool {
-	q.closeMu.Lock()
-	defer q.closeMu.Unlock()
-	return q.closed
-}
-
 // Close stops admission, drains already-admitted jobs, and waits for all
 // workers (and any deadline-abandoned runs) to finish. The autoscaler, if
 // any, is stopped first so no resize can race the teardown.
 func (q *Queue) Close() {
-	q.closeMu.Lock()
-	if q.closed {
-		q.closeMu.Unlock()
+	if !q.closed.CompareAndSwap(false, true) {
 		return
 	}
-	q.closed = true
-	q.closeMu.Unlock()
 	if q.stopScaler != nil {
 		close(q.stopScaler)
 		q.scalerWG.Wait()
@@ -374,15 +366,6 @@ func (q *Queue) Close() {
 		// through to the locked path's ErrClosed.
 		s.cacheLive.Store(nil)
 		s.mu.Unlock()
-	}
-	// Seal the submit rings now that every shard refuses ingest: late
-	// batch publishers bounce off the seal and fail with ErrClosed, and
-	// any frame published before the seal is completed with ErrClosed
-	// here — no frame is silently dropped, so every Batch.Wait returns.
-	for _, s := range p.shards {
-		for _, j := range s.ring.seal() {
-			q.refuseClosed(j, time.Now())
-		}
 	}
 	q.kickWorkers()
 	q.resizeMu.Unlock()
@@ -546,7 +529,7 @@ func (q *Queue) admit(j *Job) error {
 
 // refuseClosed records a submission refused because the queue shut down
 // and turns j terminal with ErrClosed: the one closed-refusal path of
-// admit, Batch.SubmitSpec and Close's ring seal.
+// Queue.admit, Batch.SubmitSpec and Batch.admit.
 func (q *Queue) refuseClosed(j *Job, now time.Time) error {
 	q.rejected.Add(1)
 	q.perClass[j.class].rejected.Add(1)
@@ -556,19 +539,17 @@ func (q *Queue) refuseClosed(j *Job, now time.Time) error {
 }
 
 // admitLocked is the one admission pipeline every submit route runs:
-// Submit and SubmitFunc through admit, ring-published batch frames at
-// drain, and Resize re-homing a sealed ring backlog. It assigns the ID,
-// serves a cache hit, coalesces a duplicate by chaining j onto the
-// in-flight winner (the winner's flush completes it after the cache
-// holds the result), and otherwise enqueues j or refuses it — a refusal
-// turns j terminal in place, is recorded, and is returned. queued reports
-// whether j entered a run queue: a hit or a coalesce gives the workers
-// nothing new. Func jobs carry no key and skip the cache and coalescing
-// steps.
+// Submit and SubmitFunc through Queue.admit, staged batch frames through
+// Batch.admit. It assigns the ID, serves a cache hit, coalesces a
+// duplicate by chaining j onto the in-flight winner (the winner's flush
+// completes it after the cache holds the result), and otherwise enqueues
+// j or refuses it — a refusal turns j terminal in place, is recorded,
+// and is returned. queued reports whether j entered a run queue: a hit
+// or a coalesce gives the workers nothing new. Func jobs carry no key
+// and skip the cache and coalescing steps.
 //
-// The caller holds s.mu with the shard neither retired nor closed, or
-// owns s exclusively (Resize's still-unpublished table). The spec was
-// validated by prepare.
+// The caller holds s.mu with the shard neither retired nor closed. The
+// spec was validated by prepare.
 func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) (queued bool, err error) {
 	now := time.Now()
 	var key Key
@@ -671,44 +652,6 @@ func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	q.pending.Add(1)
 	s.pending.Add(1)
 	return nil
-}
-
-// drainRingLocked ingests every frame currently published on s's submit
-// ring, bounded to one full lap so a concurrent publisher cannot pin the
-// drainer. The caller holds s.mu with the shard neither retired nor
-// closed (which is what excludes seal — the only other consumer).
-func (q *Queue) drainRingLocked(p *placement, s *shard) int {
-	n := 0
-	for range s.ring.slots {
-		j := s.ring.pop()
-		if j == nil {
-			break
-		}
-		q.admitLocked(s, p.epoch, j)
-		n++
-	}
-	return n
-}
-
-// drainRing is the worker-side ring drain: a cheap lock-free emptiness
-// probe, then a locked drain. Backing off when the shard is retired or
-// closed leaves those rings to seal (Resize / Close), the sole consumer
-// once either flag is set.
-func (q *Queue) drainRing(p *placement, s *shard) int {
-	if s.ring.empty() {
-		return 0
-	}
-	s.mu.Lock()
-	if s.retired || s.closed {
-		s.mu.Unlock()
-		return 0
-	}
-	n := q.drainRingLocked(p, s)
-	s.mu.Unlock()
-	if n > 0 {
-		q.kickWorkers()
-	}
-	return n
 }
 
 // kickWorkers wakes one idle worker to sweep the shards for stealable

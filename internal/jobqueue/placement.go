@@ -89,6 +89,9 @@ func (q *Queue) NumShards() int { return len(q.place.Load().shards) }
 //   - Latency samples and per-algorithm aggregates live on the workers'
 //     metric shards, untouched by a resize, so merged Snapshot summaries
 //     do not reset; retention entries re-route by ID.
+//   - Frames a Batch has staged but not yet admitted are in no run
+//     queue, so nothing migrates for them: their admission resolves
+//     their homes under whichever table is current.
 //
 // Concurrent Submit/Get/Wait observe either the old epoch or the new one,
 // never a half-migrated table: old shards are retired first (late writers
@@ -99,7 +102,7 @@ func (q *Queue) NumShards() int { return len(q.place.Load().shards) }
 func (q *Queue) Resize(n int) (uint64, error) {
 	q.resizeMu.Lock()
 	defer q.resizeMu.Unlock()
-	if q.isClosed() {
+	if q.closed.Load() {
 		return 0, ErrClosed
 	}
 	if n < 1 || n > MaxShards {
@@ -138,18 +141,6 @@ func (q *Queue) Resize(n int) (uint64, error) {
 	// IDs carry the global submission sequence in their high bits:
 	// sorting restores submission order across the merged old lanes.
 	sort.Slice(backlog, func(a, b int) bool { return backlog[a].job.ID < backlog[b].job.ID })
-
-	// Seal the retired shards' submit rings. From here on batch
-	// publishers bounce off the seal and chase the new table; the frames
-	// already published re-home below — after the keyed state has
-	// migrated, so a re-homed frame still cache-hits and coalesces
-	// against the entries that moved with its key. The seal is safe to
-	// the single-consumer rule because the retired flag above fenced out
-	// any locked drain in progress.
-	var ringBacklog []*Job
-	for _, s := range old.shards {
-		ringBacklog = append(ringBacklog, s.ring.seal()...)
-	}
 
 	shards := make([]*shard, n)
 	for i := range shards {
@@ -200,19 +191,6 @@ func (q *Queue) Resize(n int) (uint64, error) {
 		ns.pending.Add(1)
 		ns.laneUsed[job.class].Add(1)
 	}
-	// Re-home the sealed ring backlog through the admission pipeline on
-	// the new (still unpublished, so lock-free) shards: the frames were
-	// published but never admitted, so they go through cache, coalescing
-	// and admission control like any fresh arrival — after the migrated
-	// state and the re-enqueued backlog above, preserving their
-	// publish-order position behind the already-admitted jobs. No frame
-	// is lost: each is either admitted here or turned terminal by
-	// admission control (ErrQueueFull), exactly as if it had drained
-	// pre-resize.
-	for _, j := range ringBacklog {
-		q.admitLocked(shards[shardIndexFor(j.Spec.key(), n)], old.epoch+1, j)
-	}
-
 	// A table wider than the worker pool would leave shards with no home
 	// worker; grow the pool to keep the ≥1-worker-per-shard invariant.
 	// The pool size is fixed before publication so the new table carries

@@ -34,13 +34,6 @@ type shard struct {
 	// serve the strict lanes first, then the weighted lanes round-robin.
 	lanes []lane
 
-	// ring is the shard's bounded MPSC submit ring: Batch.Submit
-	// publishes pooled frames here without taking mu, and whoever holds
-	// mu (a worker between dequeues, or a publisher helping out on a
-	// full ring) drains them through admitLocked. Sealed — and
-	// its backlog re-homed — when the shard is retired or closed.
-	ring *submitRing
-
 	// laneDepths is each class's admission bound and laneUsed its
 	// current admitted-but-not-started count. Admission is enforced by
 	// the counter alone: a resize re-pushes a migrated backlog past it,
@@ -87,7 +80,6 @@ func (q *Queue) newShard(idx, n int) *shard {
 	classes := len(q.classes.specs)
 	s := &shard{
 		idx:        idx,
-		ring:       newSubmitRing(submitRingCap),
 		lanes:      make([]lane, classes),
 		laneDepths: make([]int, classes),
 		laneUsed:   make([]atomic.Int64, classes),
@@ -199,14 +191,14 @@ func (q *Queue) worker(idx int) {
 // policy runs this one loop; the policy only orders the jobs within a
 // lane (see lane and Queue.laneOf).
 //
-// When nothing is runnable the worker ingests every shard's ring, then
-// parks on the queue-wide kick (every enqueue, every class, publishes
-// one) with a slow fallback poll. It exits only after it saw its home
-// shard closed under the shard lock and a dequeue sweep after that found
-// nothing: Close sets every closed flag before it kicks, and nothing is
-// enqueued on a closed shard, so that sweep proves every lane of the
-// table empty. An exiting worker kicks the next, and every shard has a
-// home worker, so the pool drains every lane before it stops.
+// When nothing is runnable the worker parks on the queue-wide kick
+// (every enqueue, every class, publishes one) with a slow fallback poll.
+// It exits only after it saw its home shard closed under the shard lock
+// and a dequeue sweep after that found nothing: Close sets every closed
+// flag before it kicks, and nothing is enqueued on a closed shard, so
+// that sweep proves every lane of the table empty. An exiting worker
+// kicks the next, and every shard has a home worker, so the pool drains
+// every lane before it stops.
 func (q *Queue) runEpoch(idx int, p *placement, credits []int, rot *int, timer *time.Timer, ws *workerState) bool {
 	home := p.shards[workerHome(idx, len(p.shards), p.workers)]
 	closed := false
@@ -226,23 +218,15 @@ func (q *Queue) runEpoch(idx int, p *placement, credits []int, rot *int, timer *
 			q.kickWorkers() // the next parked worker sees its own flag
 			return true
 		}
-		// About to park: sweep every shard's ring, not just home's, so a
-		// frame published to a shard whose own workers are all busy still
-		// gets ingested promptly (the ring analogue of work stealing).
-		swept := 0
-		for _, s := range p.shards {
-			swept += q.drainRing(p, s)
-		}
-		if q.isClosed() {
-			// Close flags the queue before its shards, under a lock
-			// nothing hot takes; only then is the contended home lock
-			// worth taking.
+		if q.closed.Load() {
+			// Close flags the queue before its shards; only then is the
+			// contended home lock worth taking.
 			home.mu.Lock()
 			closed = home.closed
 			home.mu.Unlock()
-		}
-		if swept > 0 || closed {
-			continue
+			if closed {
+				continue
+			}
 		}
 		// Parking with buffered completions would strand their waiters
 		// until the next dequeue round; publish them first.
@@ -326,31 +310,19 @@ func (q *Queue) dequeue(p *placement, home *shard, credits []int, rot *int) (*sh
 
 // popLane pops lane l on the home shard, else on the other shards in
 // rotor order from home. Each probe reads the lane's atomic length and
-// takes that shard's lock only to pop — on home also when its submit
-// ring holds frames, which it ingests first under the same lock (a
-// dequeue's first probe is always on home, so ring-published frames
-// enter the lanes in near-arrival order relative to the locked submit
-// path). A job taken from another shard counts as stolen by home, and
-// its owner is the shard it came from, so the run's execution
-// accounting lands there.
+// takes that shard's lock only to pop. A job taken from another shard
+// counts as stolen by home, and its owner is the shard it came from, so
+// the run's execution accounting lands there.
 func (q *Queue) popLane(p *placement, home *shard, l int) (*shard, *Job) {
 	n := len(p.shards)
 	for off := 0; off < n; off++ {
 		s := p.shards[(home.idx+off)%n]
-		ingest := off == 0 && !s.ring.empty()
-		if !ingest && s.lanes[l].n.Load() == 0 {
+		if s.lanes[l].n.Load() == 0 {
 			continue
 		}
 		s.mu.Lock()
-		ingested := 0
-		if ingest && !s.retired && !s.closed {
-			ingested = q.drainRingLocked(p, s)
-		}
 		job := s.lanes[l].pop()
 		s.mu.Unlock()
-		if ingested > 0 {
-			q.kickWorkers()
-		}
 		if job != nil {
 			if s != home {
 				home.stolen.Add(1)

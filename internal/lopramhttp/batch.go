@@ -190,6 +190,11 @@ func handleStream(q *jobqueue.Queue, w http.ResponseWriter, r *http.Request) {
 	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 
 	b := q.NewBatch()
+	defer func() {
+		if b != nil { // nil after a wait failure: that batch leaks by contract
+			b.Release()
+		}
+	}()
 	base := 0 // global index of the micro-batch's first spec
 	// flush settles the current micro-batch and streams its results. On
 	// a wait failure the batch leaks to the GC by contract and the

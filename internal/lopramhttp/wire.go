@@ -105,6 +105,11 @@ func handleWireStream(q *jobqueue.Queue, w http.ResponseWriter, r *http.Request)
 	defer cancel()
 
 	b := q.NewBatch()
+	defer func() {
+		if b != nil { // nil after a wait failure: that batch leaks by contract
+			b.Release()
+		}
+	}()
 	base := 0 // global index of the micro-batch's first spec
 	// flush settles the current micro-batch and appends its result
 	// frames; one Write carries them all. On a wait failure the batch

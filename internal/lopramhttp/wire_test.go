@@ -133,7 +133,7 @@ func TestWireStreamEndpoint(t *testing.T) {
 }
 
 // TestWireClientRoundTrip exercises the same exchange through
-// wire.Client — the path lopram-bench and the benchmark use.
+// wire.Client — the path BenchmarkJobQueueHTTPJobsPerSec uses.
 func TestWireClientRoundTrip(t *testing.T) {
 	srv := testServer(t, jobqueue.Config{Workers: 2})
 	for _, proto := range []string{wire.ProtoBinary, wire.ProtoJSON} {

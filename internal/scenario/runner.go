@@ -162,7 +162,7 @@ func RunWith(ctx context.Context, q *jobqueue.Queue, s Spec, opts RunOptions) (R
 	}
 	var failures atomic.Int64
 	if s.Ingest == IngestBatch {
-		// Batch ingest: publish the stream through the pooled batch-first
+		// Batch ingest: submit the stream through the pooled batch-first
 		// path in BatchSize groups. Scheduled resizes still fire at their
 		// stream offsets — the pending group settles first, so a resize
 		// never races its own group's outcomes — and admission refusals
@@ -219,7 +219,7 @@ func RunWith(ctx context.Context, q *jobqueue.Queue, s Spec, opts RunOptions) (R
 				// Scenario streams are valid by construction, so a Submit
 				// error here is the queue refusing outright (ErrClosed) —
 				// a replay error, like the single path's abort. Settle
-				// what was published before reporting it.
+				// what was submitted before reporting it.
 				submitted.Add(1)
 				_ = flush()
 				fill()
@@ -237,6 +237,7 @@ func RunWith(ctx context.Context, q *jobqueue.Queue, s Spec, opts RunOptions) (R
 			fill()
 			return report, err
 		}
+		b.Release() // the empty batch flush took after the last group
 		return finishReport(q, before, start, &report, fill, &failures)
 	}
 	// sched is the cumulative scheduled arrival time of the open-loop

@@ -40,7 +40,7 @@ const (
 	IngestSingle = "single"
 	// IngestBatch submits jobs through the queue's pooled batch-first
 	// path (Queue.NewBatch) in BatchSize groups, each group settling
-	// before the next is published. Batch ingest ignores the arrival
+	// before the next is submitted. Batch ingest ignores the arrival
 	// process and client window: it measures the submit path's
 	// throughput, so the driver pushes as fast as the queue drains.
 	IngestBatch = "batch"

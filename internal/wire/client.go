@@ -12,7 +12,7 @@ import (
 	"lopram/internal/jobqueue"
 )
 
-// Stream protocol names, as spelled by lopram-bench -wire.
+// Stream protocol names, as NewClient takes them.
 const (
 	// ProtoJSON selects the NDJSON flavor of POST /v1/jobs:stream —
 	// the server default.
@@ -24,8 +24,8 @@ const (
 // Client submits job specs over POST /v1/jobs:stream in either wire
 // flavor. Both flavors build the whole request body up front (pooled
 // buffers, append-style encoders), POST it, and parse the streamed
-// response into []Result — so the two arms of a benchmark or an A/B
-// replay differ only in codec, never in request shape.
+// response into []Result — so the two flavors differ only in codec,
+// never in request shape.
 type Client struct {
 	// HTTP is the underlying client; nil means http.DefaultClient.
 	HTTP *http.Client
