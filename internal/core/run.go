@@ -73,13 +73,13 @@ type Outcome struct {
 // runner executes one (algorithm, engine) pair. Inputs derive from seed.
 type runner func(n, p int, seed uint64) (Outcome, error)
 
-// algorithm is one catalogue entry.
-type algorithm struct {
-	engines map[Engine]runner
-	// maxN bounds the admissible input size per engine (admission
-	// control: the simulator and the Brent emulator do Θ(n)–Θ(n²) model
-	// bookkeeping per run, so unbounded n is a denial of service).
-	maxN map[Engine]int
+// impl is one (algorithm, engine) pair of the catalogue: the runner and
+// the largest input size it admits (admission control: the simulator and
+// the Brent emulator do Θ(n)–Θ(n²) model bookkeeping per run, so
+// unbounded n is a denial of service).
+type impl struct {
+	maxN int
+	run  runner
 }
 
 // Algorithms returns the catalogue's algorithm names, sorted.
@@ -94,12 +94,12 @@ func Algorithms() []string {
 
 // EnginesFor returns the engines supporting the named algorithm, sorted.
 func EnginesFor(name string) []Engine {
-	a, ok := catalogue[name]
+	impls, ok := catalogue[name]
 	if !ok {
 		return nil
 	}
-	engines := make([]Engine, 0, len(a.engines))
-	for e := range a.engines {
+	engines := make([]Engine, 0, len(impls))
+	for e := range impls {
 		engines = append(engines, e)
 	}
 	sort.Slice(engines, func(i, j int) bool { return engines[i] < engines[j] })
@@ -109,14 +109,7 @@ func EnginesFor(name string) []Engine {
 // MaxN returns the largest admissible input size for (name, engine), or 0
 // if the pair is unsupported.
 func MaxN(name string, engine Engine) int {
-	a, ok := catalogue[name]
-	if !ok {
-		return 0
-	}
-	if _, ok := a.engines[engine]; !ok {
-		return 0
-	}
-	return a.maxN[engine]
+	return catalogue[name][engine].maxN
 }
 
 // MaxProcs is the largest processor count RunAlgorithm accepts. The LoPRAM
@@ -127,23 +120,31 @@ const MaxProcs = 64
 // ValidateSpec checks (name, engine, n, p) against the catalogue without
 // running anything. p = 0 means "model default" (ProcsFor(n)) and is valid.
 func ValidateSpec(name string, engine Engine, n, p int) error {
-	a, ok := catalogue[name]
+	_, err := resolve(name, engine, n, p)
+	return err
+}
+
+// resolve checks (name, engine, n, p) against the catalogue and returns the
+// entry that runs it.
+func resolve(name string, engine Engine, n, p int) (impl, error) {
+	impls, ok := catalogue[name]
 	if !ok {
-		return fmt.Errorf("unknown algorithm %q", name)
+		return impl{}, fmt.Errorf("unknown algorithm %q", name)
 	}
-	if _, ok := a.engines[engine]; !ok {
-		return fmt.Errorf("algorithm %q does not support engine %q (supported: %v)", name, engine, EnginesFor(name))
+	im, ok := impls[engine]
+	if !ok {
+		return impl{}, fmt.Errorf("algorithm %q does not support engine %q (supported: %v)", name, engine, EnginesFor(name))
 	}
 	if n < 1 {
-		return fmt.Errorf("n must be >= 1, got %d", n)
+		return impl{}, fmt.Errorf("n must be >= 1, got %d", n)
 	}
-	if maxN := a.maxN[engine]; n > maxN {
-		return fmt.Errorf("n=%d exceeds the %s engine's limit %d for %q", n, engine, maxN, name)
+	if n > im.maxN {
+		return impl{}, fmt.Errorf("n=%d exceeds the %s engine's limit %d for %q", n, engine, im.maxN, name)
 	}
 	if p < 0 || p > MaxProcs {
-		return fmt.Errorf("p must be in [0, %d], got %d", MaxProcs, p)
+		return impl{}, fmt.Errorf("p must be in [0, %d], got %d", MaxProcs, p)
 	}
-	return nil
+	return im, nil
 }
 
 // RunAlgorithm runs the named algorithm at input size n with p processors
@@ -153,13 +154,14 @@ func ValidateSpec(name string, engine Engine, n, p int) error {
 // enforcing deadlines do it around this call; ValidateSpec's size limits
 // keep every admissible run bounded.
 func RunAlgorithm(name string, engine Engine, n, p int, seed uint64) (Outcome, error) {
-	if err := ValidateSpec(name, engine, n, p); err != nil {
+	im, err := resolve(name, engine, n, p)
+	if err != nil {
 		return Outcome{}, err
 	}
 	if p == 0 {
 		p = ProcsFor(n)
 	}
-	return catalogue[name].engines[engine](n, p, seed)
+	return im.run(n, p, seed)
 }
 
 // ---- checksum helpers ----
@@ -301,166 +303,136 @@ func matrixChainDims(n int, seed uint64) []int {
 
 // ---- the catalogue ----
 
-var catalogue = map[string]algorithm{
+var catalogue = map[string]map[Engine]impl{
 	"mergesort": {
-		engines: map[Engine]runner{
-			// The Case 2 cost model T(n) = 2T(n/2) + n on the exact
-			// scheduler.
-			EngineSim: simCostModel(dandc.Mergesort),
-			EnginePalrt: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
-				a := workload.Ints(workload.NewRNG(seed), n, 1<<30)
-				dandc.MergeSort(rt, a)
-				if !sort.IntsAreSorted(a) {
-					return Outcome{}, fmt.Errorf("mergesort produced unsorted output")
-				}
-				return Outcome{Check: checksumInts(a)}, nil
-			}),
-			// Batcher's bitonic network: the Θ(n log² n)-work baseline.
-			EnginePRAM: pramProgram(func(n int, seed uint64) (pram.Program, func(pram.Result) (int64, uint64)) {
-				n = pow2Floor(n)
-				in := workload.Int64s(workload.NewRNG(seed), n)
-				b := pram.BitonicSort{Input: in}
-				return b, func(res pram.Result) (int64, uint64) {
-					return 0, checksumInt64s(b.Sorted(res))
-				}
-			}),
-		},
-		maxN: map[Engine]int{EngineSim: 1 << 30, EnginePalrt: 1 << 22, EnginePRAM: 1 << 14},
+		// The Case 2 cost model T(n) = 2T(n/2) + n on the exact
+		// scheduler.
+		EngineSim: {maxN: 1 << 30, run: simCostModel(dandc.Mergesort)},
+		EnginePalrt: {maxN: 1 << 22, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+			a := workload.Ints(workload.NewRNG(seed), n, 1<<30)
+			dandc.MergeSort(rt, a)
+			if !sort.IntsAreSorted(a) {
+				return Outcome{}, fmt.Errorf("mergesort produced unsorted output")
+			}
+			return Outcome{Check: checksumInts(a)}, nil
+		})},
+		// Batcher's bitonic network: the Θ(n log² n)-work baseline.
+		EnginePRAM: {maxN: 1 << 14, run: pramProgram(func(n int, seed uint64) (pram.Program, func(pram.Result) (int64, uint64)) {
+			n = pow2Floor(n)
+			in := workload.Int64s(workload.NewRNG(seed), n)
+			b := pram.BitonicSort{Input: in}
+			return b, func(res pram.Result) (int64, uint64) {
+				return 0, checksumInt64s(b.Sorted(res))
+			}
+		})},
 	},
 	"quicksort": {
-		engines: map[Engine]runner{
-			EnginePalrt: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
-				a := workload.Ints(workload.NewRNG(seed), n, 1<<30)
-				dandc.QuickSort(rt, a)
-				if !sort.IntsAreSorted(a) {
-					return Outcome{}, fmt.Errorf("quicksort produced unsorted output")
-				}
-				return Outcome{Check: checksumInts(a)}, nil
-			}),
-		},
-		maxN: map[Engine]int{EnginePalrt: 1 << 22},
+		EnginePalrt: {maxN: 1 << 22, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+			a := workload.Ints(workload.NewRNG(seed), n, 1<<30)
+			dandc.QuickSort(rt, a)
+			if !sort.IntsAreSorted(a) {
+				return Outcome{}, fmt.Errorf("quicksort produced unsorted output")
+			}
+			return Outcome{Check: checksumInts(a)}, nil
+		})},
 	},
 	"reduce": {
-		engines: map[Engine]runner{
-			// Binary tree reduction T(n) = 2T(n/2) + 1.
-			EngineSim: simCostModel(func() master.IntRec {
-				return master.IntRec{A: 2, B: 2, Cutoff: 1, Divide: dandc.Unit, Merge: dandc.Unit, Base: dandc.Unit}
-			}),
-			EnginePalrt: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
-				a := workload.Int64s(workload.NewRNG(seed), n)
-				// Bound entries so Σa fits in int64 regardless of n.
-				for i := range a {
-					a[i] %= 1 << 32
-				}
-				sum := dandc.ReduceSum(rt, a)
-				return Outcome{Value: sum}, nil
-			}),
-			EnginePRAM: pramProgram(func(n int, seed uint64) (pram.Program, func(pram.Result) (int64, uint64)) {
-				n = pow2Floor(n)
-				in := workload.Int64s(workload.NewRNG(seed), n)
-				for i := range in {
-					in[i] %= 1 << 32
-				}
-				return pram.SumReduction{Input: in}, func(res pram.Result) (int64, uint64) {
-					return res.Mem[0], 0
-				}
-			}),
-		},
-		maxN: map[Engine]int{EngineSim: 1 << 30, EnginePalrt: 1 << 24, EnginePRAM: 1 << 16},
+		// Binary tree reduction T(n) = 2T(n/2) + 1.
+		EngineSim: {maxN: 1 << 30, run: simCostModel(func() master.IntRec {
+			return master.IntRec{A: 2, B: 2, Cutoff: 1, Divide: dandc.Unit, Merge: dandc.Unit, Base: dandc.Unit}
+		})},
+		EnginePalrt: {maxN: 1 << 24, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+			a := workload.Int64s(workload.NewRNG(seed), n)
+			// Bound entries so Σa fits in int64 regardless of n.
+			for i := range a {
+				a[i] %= 1 << 32
+			}
+			sum := dandc.ReduceSum(rt, a)
+			return Outcome{Value: sum}, nil
+		})},
+		EnginePRAM: {maxN: 1 << 16, run: pramProgram(func(n int, seed uint64) (pram.Program, func(pram.Result) (int64, uint64)) {
+			n = pow2Floor(n)
+			in := workload.Int64s(workload.NewRNG(seed), n)
+			for i := range in {
+				in[i] %= 1 << 32
+			}
+			return pram.SumReduction{Input: in}, func(res pram.Result) (int64, uint64) {
+				return res.Mem[0], 0
+			}
+		})},
 	},
 	"prefixsums": {
-		engines: map[Engine]runner{
-			EnginePalrt: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
-				a := workload.Int64s(workload.NewRNG(seed), n)
-				for i := range a {
-					a[i] %= 1 << 32
-				}
-				out := dandc.PrefixSums(rt, a)
-				return Outcome{Value: out[len(out)-1], Check: checksumInt64s(out)}, nil
-			}),
-			// Hillis–Steele: Θ(n log n) work, the canonical
-			// work-suboptimal PRAM scan.
-			EnginePRAM: pramProgram(func(n int, seed uint64) (pram.Program, func(pram.Result) (int64, uint64)) {
-				in := workload.Int64s(workload.NewRNG(seed), n)
-				for i := range in {
-					in[i] %= 1 << 32
-				}
-				h := pram.HillisSteele{Input: in}
-				return h, func(res pram.Result) (int64, uint64) {
-					scan := h.Scan(res)
-					return scan[len(scan)-1], checksumInt64s(scan)
-				}
-			}),
-		},
-		maxN: map[Engine]int{EnginePalrt: 1 << 24, EnginePRAM: 1 << 14},
+		EnginePalrt: {maxN: 1 << 24, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+			a := workload.Int64s(workload.NewRNG(seed), n)
+			for i := range a {
+				a[i] %= 1 << 32
+			}
+			out := dandc.PrefixSums(rt, a)
+			return Outcome{Value: out[len(out)-1], Check: checksumInt64s(out)}, nil
+		})},
+		// Hillis–Steele: Θ(n log n) work, the canonical work-suboptimal
+		// PRAM scan.
+		EnginePRAM: {maxN: 1 << 14, run: pramProgram(func(n int, seed uint64) (pram.Program, func(pram.Result) (int64, uint64)) {
+			in := workload.Int64s(workload.NewRNG(seed), n)
+			for i := range in {
+				in[i] %= 1 << 32
+			}
+			h := pram.HillisSteele{Input: in}
+			return h, func(res pram.Result) (int64, uint64) {
+				scan := h.Scan(res)
+				return scan[len(scan)-1], checksumInt64s(scan)
+			}
+		})},
 	},
 	"editdistance": {
-		engines: map[Engine]runner{
-			EngineSim:   simDP(editDistanceSpec),
-			EnginePalrt: palrtDP(editDistanceSpec),
-		},
 		// The DP table is Θ(n²) cells; 512 keeps a single sim run in the
 		// hundreds of milliseconds.
-		maxN: map[Engine]int{EngineSim: 512, EnginePalrt: 1 << 11},
+		EngineSim:   {maxN: 512, run: simDP(editDistanceSpec)},
+		EnginePalrt: {maxN: 1 << 11, run: palrtDP(editDistanceSpec)},
 	},
 	"lcs": {
-		engines: map[Engine]runner{
-			EngineSim:   simDP(lcsSpec),
-			EnginePalrt: palrtDP(lcsSpec),
-		},
-		maxN: map[Engine]int{EngineSim: 512, EnginePalrt: 1 << 11},
+		EngineSim:   {maxN: 512, run: simDP(lcsSpec)},
+		EnginePalrt: {maxN: 1 << 11, run: palrtDP(lcsSpec)},
 	},
 	"knapsack": {
-		engines: map[Engine]runner{
-			EngineSim:   simDP(knapsackSpec),
-			EnginePalrt: palrtDP(knapsackSpec),
-		},
-		maxN: map[Engine]int{EngineSim: 96, EnginePalrt: 1 << 10},
+		EngineSim:   {maxN: 96, run: simDP(knapsackSpec)},
+		EnginePalrt: {maxN: 1 << 10, run: palrtDP(knapsackSpec)},
 	},
 	"matrixchain": {
-		engines: map[Engine]runner{
-			// Top-down parallel memoization (§4.5) on the simulator.
-			EngineSim: func(n, p int, seed uint64) (Outcome, error) {
-				spec := dp.NewMatrixChain(matrixChainDims(n, seed))
-				prog, vals, _ := memo.Program(spec, spec.Cells()-1)
-				res := sim.New(sim.Config{P: p}).MustRun(prog)
-				return Outcome{
-					Steps: res.Steps, Work: res.Work, Threads: res.Threads,
-					Value: vals[spec.Cells()-1],
-				}, nil
-			},
-			EnginePalrt: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
-				spec := dp.NewMatrixChain(matrixChainDims(n, seed))
-				v, _ := memo.Run(rt, spec, spec.Cells()-1)
-				return Outcome{Value: v}, nil
-			}),
-		},
-		maxN: map[Engine]int{EngineSim: 96, EnginePalrt: 512},
+		// Top-down parallel memoization (§4.5) on the simulator.
+		EngineSim: {maxN: 96, run: func(n, p int, seed uint64) (Outcome, error) {
+			spec := dp.NewMatrixChain(matrixChainDims(n, seed))
+			prog, vals, _ := memo.Program(spec, spec.Cells()-1)
+			res := sim.New(sim.Config{P: p}).MustRun(prog)
+			return Outcome{
+				Steps: res.Steps, Work: res.Work, Threads: res.Threads,
+				Value: vals[spec.Cells()-1],
+			}, nil
+		}},
+		EnginePalrt: {maxN: 512, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+			spec := dp.NewMatrixChain(matrixChainDims(n, seed))
+			v, _ := memo.Run(rt, spec, spec.Cells()-1)
+			return Outcome{Value: v}, nil
+		})},
 	},
 	"closestpair": {
-		engines: map[Engine]runner{
-			// T(n) = 2T(n/2) + n: the divide/combine of §4.1's closest
-			// pair on the exact scheduler.
-			EngineSim: simCostModel(dandc.Mergesort),
-			EnginePalrt: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
-				pts := workload.Points(workload.NewRNG(seed), n)
-				d := dandc.ClosestPair(rt, pts)
-				return Outcome{Check: math.Float64bits(d)}, nil
-			}),
-		},
-		maxN: map[Engine]int{EngineSim: 1 << 30, EnginePalrt: 1 << 20},
+		// T(n) = 2T(n/2) + n: the divide/combine of §4.1's closest pair
+		// on the exact scheduler.
+		EngineSim: {maxN: 1 << 30, run: simCostModel(dandc.Mergesort)},
+		EnginePalrt: {maxN: 1 << 20, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+			pts := workload.Points(workload.NewRNG(seed), n)
+			d := dandc.ClosestPair(rt, pts)
+			return Outcome{Check: math.Float64bits(d)}, nil
+		})},
 	},
 	"maxsubarray": {
-		engines: map[Engine]runner{
-			EngineSim: simCostModel(dandc.Mergesort),
-			EnginePalrt: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
-				a := workload.Ints(workload.NewRNG(seed), n, 2001)
-				for i := range a {
-					a[i] -= 1000 // mixed-sign input, the interesting case
-				}
-				return Outcome{Value: int64(dandc.MaxSubarray(rt, a))}, nil
-			}),
-		},
-		maxN: map[Engine]int{EngineSim: 1 << 30, EnginePalrt: 1 << 22},
+		EngineSim: {maxN: 1 << 30, run: simCostModel(dandc.Mergesort)},
+		EnginePalrt: {maxN: 1 << 22, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+			a := workload.Ints(workload.NewRNG(seed), n, 2001)
+			for i := range a {
+				a[i] -= 1000 // mixed-sign input, the interesting case
+			}
+			return Outcome{Value: int64(dandc.MaxSubarray(rt, a))}, nil
+		})},
 	},
 }

@@ -22,7 +22,7 @@ package jobcost
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"lopram/internal/core"
@@ -165,43 +165,64 @@ const ewmaAlpha = 0.3
 
 // Calibrator learns nanoseconds-per-unit per engine from observed
 // completions, turning Predict's units into wall-clock estimates. Safe
-// for concurrent use; the zero value is not ready — use NewCalibrator.
+// for concurrent use without a lock: each engine's scale is one atomic
+// word, updated by compare-and-swap. NewCalibrator's result and the zero
+// value both hold only the static priors.
 type Calibrator struct {
-	mu    sync.Mutex
-	scale map[core.Engine]float64
+	// scale holds the calibrated ns-per-unit of each engine ParseEngine
+	// accepts (slot picks the word), as float64 bits; 0 means not yet
+	// observed.
+	scale [3]atomic.Uint64
 }
 
 // NewCalibrator returns a calibrator holding only the static priors.
 func NewCalibrator() *Calibrator {
-	return &Calibrator{scale: make(map[core.Engine]float64)}
+	return &Calibrator{}
+}
+
+// slot returns the engine's scale word, or nil for an engine the
+// calibrator does not track.
+func (c *Calibrator) slot(engine core.Engine) *atomic.Uint64 {
+	switch engine {
+	case core.EngineSim:
+		return &c.scale[0]
+	case core.EnginePalrt:
+		return &c.scale[1]
+	case core.EnginePRAM:
+		return &c.scale[2]
+	}
+	return nil
 }
 
 // Observe feeds one completed job's (predicted units, measured wall)
-// pair into the engine's scale estimate. Non-positive inputs are
-// ignored.
+// pair into the engine's scale estimate. Non-positive inputs, and
+// engines other than sim, palrt and pram, are ignored.
 func (c *Calibrator) Observe(engine core.Engine, units float64, wall time.Duration) {
-	if units <= 0 || wall <= 0 {
+	w := c.slot(engine)
+	if w == nil || units <= 0 || wall <= 0 {
 		return
 	}
 	ratio := float64(wall.Nanoseconds()) / units
-	c.mu.Lock()
-	if cur, ok := c.scale[engine]; ok {
-		c.scale[engine] = (1-ewmaAlpha)*cur + ewmaAlpha*ratio
-	} else {
-		c.scale[engine] = ratio
+	for {
+		old := w.Load()
+		next := ratio
+		if old != 0 {
+			next = (1-ewmaAlpha)*math.Float64frombits(old) + ewmaAlpha*ratio
+		}
+		if w.CompareAndSwap(old, math.Float64bits(next)) {
+			return
+		}
 	}
-	c.mu.Unlock()
 }
 
 // NSPerUnit returns the engine's current nanoseconds-per-unit scale —
 // the calibrated estimate once at least one observation has arrived,
 // the static prior before.
 func (c *Calibrator) NSPerUnit(engine core.Engine) float64 {
-	c.mu.Lock()
-	s, ok := c.scale[engine]
-	c.mu.Unlock()
-	if ok {
-		return s
+	if w := c.slot(engine); w != nil {
+		if bits := w.Load(); bits != 0 {
+			return math.Float64frombits(bits)
+		}
 	}
 	return priorNS(engine)
 }

@@ -1,6 +1,7 @@
 package jobcost
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -84,5 +85,70 @@ func TestCalibratorPriorThenEWMA(t *testing.T) {
 	}
 	if got := c.Wall(core.EngineSim, 0); got != 0 {
 		t.Fatalf("Wall(0 units) = %v, want 0", got)
+	}
+}
+
+// TestCalibratorConcurrent: Observe and NSPerUnit on several goroutines
+// lose no update and never read a torn or out-of-range scale. Every
+// concurrent observation carries the same ratio, so the final scale is
+// the one the same number of sequential observations reaches, whatever
+// the interleaving. An engine outside sim, palrt and pram is not
+// tracked: its observations are dropped and it reads the fallback.
+func TestCalibratorConcurrent(t *testing.T) {
+	const observers, perObserver = 8, 5
+	c, want := NewCalibrator(), NewCalibrator()
+	for _, cal := range []*Calibrator{c, want} {
+		cal.Observe(core.EngineSim, 1, time.Millisecond) // 1e6 ns/unit
+	}
+	for i := 0; i < observers*perObserver; i++ {
+		want.Observe(core.EngineSim, 1, time.Nanosecond)
+	}
+
+	start, stop := make(chan struct{}), make(chan struct{})
+	var observing, reading sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			<-start
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if s := c.NSPerUnit(core.EngineSim); s < 1 || s > 1e6 {
+					t.Errorf("sim scale read %v mid-update, outside [1, 1e6]", s)
+					return
+				}
+				if s := c.NSPerUnit(core.EnginePalrt); s != priorPalrtNS {
+					t.Errorf("unobserved palrt scale read %v, want the prior %v", s, priorPalrtNS)
+					return
+				}
+				if s := c.NSPerUnit("gpu"); s != fallbackNS {
+					t.Errorf("untracked engine scale read %v, want the fallback %v", s, fallbackNS)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < observers; g++ {
+		observing.Add(1)
+		go func() {
+			defer observing.Done()
+			<-start
+			for i := 0; i < perObserver; i++ {
+				c.Observe(core.EngineSim, 1, time.Nanosecond)
+				c.Observe("gpu", 1, time.Nanosecond)
+			}
+		}()
+	}
+	close(start)
+	observing.Wait()
+	close(stop)
+	reading.Wait()
+	if got, w := c.NSPerUnit(core.EngineSim), want.NSPerUnit(core.EngineSim); got != w {
+		t.Fatalf("sim scale after %d concurrent observations = %v, want %v (an update was lost)",
+			observers*perObserver, got, w)
 	}
 }

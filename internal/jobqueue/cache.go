@@ -8,9 +8,10 @@ import (
 // resultCache is a shard's fixed-capacity result cache. It memoizes
 // completed job results by Key — the memoization table of §4.5 lifted
 // from DP cells to whole jobs: identical requests hit the table instead
-// of recomputing. Entries carry the job's rendered name alongside the
-// result, so serving a hit never re-renders the spec (the name is a pure
-// function of the key, paid once at settle).
+// of recomputing. Entries carry the name the settling job already had
+// alongside the result. An untraced pooled frame has none, and the settle
+// renders none for it: a hit renders the name only when its own job needs
+// one and the entry has none (see serveCached).
 //
 // One structure serves readers and writers:
 //

@@ -37,15 +37,12 @@ type completion struct {
 	job *Job
 	key Key // zero for func jobs
 	// name keys the per-algorithm aggregate (the algorithm, or the func
-	// job's name); cacheName is the job's full rendered name, stored in
-	// the cache entry so hits never re-render it — rendered lazily at
-	// cache-insert time for pooled frames that never carried one.
-	name      string
-	cacheName string
-	res       Result
-	err       error
-	wallMS    float64
-	waitMS    float64
+	// job's name).
+	name   string
+	res    Result
+	err    error
+	wallMS float64
+	waitMS float64
 	// shard/epoch/published are flush-local: the home-shard index under
 	// the table a flush pass resolved, the epoch that pass published
 	// under, and whether the keyed state has landed (a retired shard
@@ -111,14 +108,13 @@ func (q *Queue) bufferCompletion(ws *workerState, job *Job, res Result, err erro
 		key = job.Spec.key()
 	}
 	ws.buf = append(ws.buf, completion{
-		job:       job,
-		key:       key,
-		name:      name,
-		cacheName: job.Name,
-		res:       res,
-		err:       err,
-		wallMS:    float64(wall) / float64(time.Millisecond),
-		waitMS:    float64(start.Sub(job.submitted)) / float64(time.Millisecond),
+		job:    job,
+		key:    key,
+		name:   name,
+		res:    res,
+		err:    err,
+		wallMS: float64(wall) / float64(time.Millisecond),
+		waitMS: float64(start.Sub(job.submitted)) / float64(time.Millisecond),
 	})
 	if len(ws.buf) >= completionFlushK {
 		q.flushCompletions(ws)
@@ -193,14 +189,12 @@ func (q *Queue) flushCompletions(ws *workerState) {
 					if s.inflight[c.key] == c.job {
 						delete(s.inflight, c.key)
 					}
-					if c.err == nil && s.cache.cap > 0 {
-						if c.cacheName == "" {
-							// An untraced pooled frame never rendered its
-							// name; pay for it once here so every future
-							// hit is served without rendering.
-							c.cacheName = c.job.Spec.String()
-						}
-						s.cache.put(c.key, c.cacheName, c.res, false)
+					if c.err == nil {
+						// The entry keeps the job's name as is, none for
+						// an untraced pooled frame (see serveCached). The
+						// frame lives until its batch's Wait returns,
+						// after this flush.
+						s.cache.put(c.key, c.job.Name, c.res, false)
 					}
 				}
 				c.epoch = p.epoch

@@ -208,6 +208,73 @@ func TestCacheHitSubmitAllocs(t *testing.T) {
 	}
 }
 
+// TestCacheEntryNameRule pins when a job's name is rendered. The flush
+// stores whatever name the settling job carries, so an untraced batch
+// leaves its entries unnamed while a traced queue's entries carry
+// Spec.String(). A Submit hit on an entry a batch inserted renders the
+// name itself, because its caller reads it from View.
+func TestCacheEntryNameRule(t *testing.T) {
+	specs := make([]Spec, 8)
+	for i := range specs {
+		specs[i] = simSpec(uint64(100 + i))
+	}
+	runBatch := func(q *Queue) {
+		t.Helper()
+		b := q.NewBatch()
+		for _, spec := range specs {
+			if err := b.Submit(spec); err != nil {
+				t.Fatalf("batch submit: %v", err)
+			}
+		}
+		if err := b.Wait(context.Background()); err != nil {
+			t.Fatalf("batch wait: %v", err)
+		}
+		for i := 0; i < b.Len(); i++ {
+			if res, err := b.Outcome(i); err != nil || res.Cached {
+				t.Fatalf("outcome %d: %v cached=%v, want a fresh run", i, err, res.Cached)
+			}
+		}
+		b.Release()
+	}
+	entryName := func(q *Queue, spec Spec) string {
+		t.Helper()
+		key := spec.key()
+		e, ok := q.place.Load().shardFor(key).lookup(key)
+		if !ok {
+			t.Fatalf("%v not cached after its batch's Wait", spec)
+		}
+		return e.name
+	}
+
+	untraced := New(Config{Workers: 1, Shards: 1, CacheSize: 64})
+	defer untraced.Close()
+	runBatch(untraced)
+	for _, spec := range specs {
+		if name := entryName(untraced, spec); name != "" {
+			t.Errorf("untraced batch entry for %v named %q, want empty", spec, name)
+		}
+	}
+	hit, err := untraced.Submit(specs[0])
+	if err != nil {
+		t.Fatalf("submit hit: %v", err)
+	}
+	if res, err := hit.Result(); err != nil || !res.Cached {
+		t.Fatalf("submit on a batch-inserted key: %v cached=%v, want a hit", err, res.Cached)
+	}
+	if got, want := hit.View().Name, specs[0].String(); got != want {
+		t.Errorf("Submit hit on a batch-inserted entry named %q, want %q", got, want)
+	}
+
+	traced := New(Config{Workers: 1, Shards: 1, CacheSize: 64, TraceSink: &jobtrace.MemorySink{}})
+	defer traced.Close()
+	runBatch(traced)
+	for _, spec := range specs {
+		if got, want := entryName(traced, spec), spec.String(); got != want {
+			t.Errorf("traced batch entry named %q, want %q", got, want)
+		}
+	}
+}
+
 // TestCacheHitJobsNotRetained pins the fast-path retention semantics:
 // a Submit served from the cache returns the only handle to its job —
 // it is not registered for Get/Jobs, on either the lock-free or the

@@ -475,13 +475,17 @@ func (q *Queue) probeCache(j *Job, key Key) bool {
 // serveCached completes j from a cached result on its home shard. Cache
 // serves are near-instant: they skip the latency samples, are not
 // retained for Get/Jobs (the caller holds the only handle), and report
-// the original run's Wall.
+// the original run's Wall. The hit takes the entry's name, and renders
+// one only when the entry has none and j needs one (needsName).
 func (q *Queue) serveCached(shard int, epoch uint64, j *Job, e *cacheEntry, now time.Time) {
 	j.ID = q.newID(shard)
 	j.submitShard = shard
 	j.submitEpoch = epoch
 	if j.Name == "" {
-		j.Name = e.name // rendered at settle; the hit renders nothing
+		j.Name = e.name
+		if j.Name == "" && q.needsName(j) {
+			j.Name = j.Spec.String()
+		}
 	}
 	q.cacheHits.Add(1)
 	q.submitted.Add(1)
@@ -540,13 +544,14 @@ func (q *Queue) refuseClosed(j *Job, now time.Time) error {
 
 // admitLocked is the one admission pipeline every submit route runs:
 // Submit and SubmitFunc through Queue.admit, staged batch frames through
-// Batch.admit. It assigns the ID, serves a cache hit, coalesces a
-// duplicate by chaining j onto the in-flight winner (the winner's flush
-// completes it after the cache holds the result), and otherwise enqueues
-// j or refuses it — a refusal turns j terminal in place, is recorded,
-// and is returned. queued reports whether j entered a run queue: a hit
-// or a coalesce gives the workers nothing new. Func jobs carry no key
-// and skip the cache and coalescing steps.
+// Batch.admit. It serves a cache hit, assigns the ID, renders the name
+// if needsName asks for it (serveCached applies the same rule to a hit),
+// coalesces a duplicate by chaining j onto the in-flight winner (the
+// winner's flush completes it after the cache holds the result), and
+// otherwise enqueues j or refuses it — a refusal turns j terminal in
+// place, is recorded, and is returned. queued reports whether j entered
+// a run queue: a hit or a coalesce gives the workers nothing new. Func
+// jobs carry no key and skip the cache and coalescing steps.
 //
 // The caller holds s.mu with the shard neither retired nor closed. The
 // spec was validated by prepare.
@@ -563,9 +568,7 @@ func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) (queued bool, err er
 	j.ID = q.newID(s.idx)
 	j.submitShard = s.idx
 	j.submitEpoch = epoch
-	if j.Name == "" && (q.rec != nil || !j.pooled) {
-		// Only a tracing queue or a retained job pays for the rendered
-		// name; the untraced pooled frame stays allocation-free.
+	if j.Name == "" && q.needsName(j) {
 		j.Name = j.Spec.String()
 	}
 	if j.fn == nil {
@@ -603,6 +606,13 @@ func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job) (queued bool, err er
 		return false, err
 	}
 	return true, nil
+}
+
+// needsName reports whether j must carry its rendered name: a tracing
+// queue records it, and a Submit caller reads it from View. An untraced
+// pooled frame is read only through its Batch, which shows no name.
+func (q *Queue) needsName(j *Job) bool {
+	return q.rec != nil || !j.pooled
 }
 
 // enqueueLocked admits a job to its class's run queue on shard s, or

@@ -435,9 +435,15 @@ func (q *Queue) finishRun(job *Job, res Result, err error, timeout time.Duration
 	return res, won, err
 }
 
-// deadlineErr is the failure of a job that exceeded its deadline.
+// deadlineErr is the failure of a job that exceeded its deadline. An
+// untraced pooled frame carries no rendered name, so the error renders
+// its spec: this path is rare enough to pay for one.
 func deadlineErr(job *Job, timeout time.Duration) error {
-	return fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", job.Name, timeout, context.DeadlineExceeded)
+	name := job.Name
+	if name == "" {
+		name = job.Spec.String()
+	}
+	return fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", name, timeout, context.DeadlineExceeded)
 }
 
 // runJob executes one job under its deadline; owner is the shard the job

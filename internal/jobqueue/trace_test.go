@@ -3,6 +3,7 @@ package jobqueue
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,6 +197,32 @@ func TestTraceTimeoutOutcomeSpec(t *testing.T) {
 	}
 	if r.Error == "" {
 		t.Error("timeout record has no error message")
+	}
+}
+
+// TestBatchDeadlineErrorNamesJob: a batch frame on an untraced queue
+// carries no rendered name, yet its deadline error names the spec, as a
+// Submit job's does. The tiny deadline is the one
+// TestTraceTimeoutOutcomeSpec uses, which no run of this size can meet.
+func TestBatchDeadlineErrorNamesJob(t *testing.T) {
+	q := New(Config{Workers: 1, Shards: 1})
+	defer q.Close()
+	spec := Spec{Algorithm: "mergesort", N: 1 << 16, Engine: core.EnginePalrt, Seed: 1,
+		Timeout: time.Microsecond}
+	b := q.NewBatch()
+	if err := b.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := b.Outcome(0)
+	b.Release()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch outcome error %v, want a deadline failure", err)
+	}
+	if name := spec.String(); !strings.Contains(err.Error(), "job "+name+" exceeded") {
+		t.Errorf("deadline error %q does not name the job %q", err, name)
 	}
 }
 

@@ -16,14 +16,11 @@ type BitonicSort struct {
 // Memory returns a copy of the input.
 func (b BitonicSort) Memory() []int64 { return b.Input }
 
-// Next returns the step'th layer of the network. Layers are enumerated in
-// the standard (k, j) double loop: k = 2, 4, …, n (block size), j = k/2,
-// k/4, …, 1 (partner distance).
-func (b BitonicSort) Next(step int, mem []int64) []Op {
+// Step runs the step'th layer of the network, one compare-exchange per
+// pair. Layers are enumerated in the standard (k, j) double loop: k = 2,
+// 4, …, n (block size), j = k/2, k/4, …, 1 (partner distance).
+func (b BitonicSort) Step(step int, mem []int64) int {
 	n := len(b.Input)
-	if n < 2 {
-		return nil
-	}
 	// Decode step → (k, j).
 	s := step
 	for k := 2; k <= n; k *= 2 {
@@ -32,25 +29,22 @@ func (b BitonicSort) Next(step int, mem []int64) []Op {
 				s--
 				continue
 			}
-			k, j := k, j
-			var ops []Op
+			ops := 0
 			for i := 0; i < n; i++ {
 				partner := i ^ j
 				if partner <= i {
 					continue // one op per pair
 				}
 				up := i&k == 0 // ascending block?
-				i := i
-				ops = append(ops, func(m []int64) {
-					if (m[i] > m[partner]) == up {
-						m[i], m[partner] = m[partner], m[i]
-					}
-				})
+				if (mem[i] > mem[partner]) == up {
+					mem[i], mem[partner] = mem[partner], mem[i]
+				}
+				ops++
 			}
 			return ops
 		}
 	}
-	return nil
+	return 0
 }
 
 // Sorted extracts the sorted array from an emulated result.

@@ -5,9 +5,10 @@
 // processor solution could be emulated using Brent's Lemma".
 //
 // A PRAM program is a sequence of synchronous parallel steps; each step is a
-// batch of independent unit-cost operations on a shared memory. Emulation on
-// p processors costs Σᵢ ⌈opsᵢ/p⌉ ≤ W/p + S steps (W total work, S steps) —
-// Brent's bound, which Emulate reports and the tests verify.
+// batch of independent unit-cost operations on a shared memory, which the
+// program executes in place and counts. Emulation on p processors costs
+// Σᵢ ⌈opsᵢ/p⌉ ≤ W/p + S steps (W total work, S steps) — Brent's bound,
+// which Emulate reports and the tests verify.
 //
 // The catalogue includes the textbook PRAM algorithms whose *work
 // sub-optimality* motivates the paper: Hillis–Steele prefix sums and
@@ -18,23 +19,17 @@ package pram
 
 import "fmt"
 
-// Op is one unit-cost PRAM operation. Operations within a step must be
-// independent: they may read anything written in earlier steps and must
-// write disjoint cells (EREW/CREW discipline is the program's duty; the
-// batch executor applies all reads before any write via operation-local
-// staging where the algorithm requires it).
-type Op func(mem []int64)
-
-// Program is a PRAM algorithm: a generator of synchronous steps. Next
-// returns the operation batch of the next step, or nil when the program is
-// complete.
+// Program is a PRAM algorithm: a sequence of synchronous steps, each of
+// which the program executes itself.
 type Program interface {
 	// Memory returns the initial shared memory contents.
 	Memory() []int64
-	// Next returns the next step's operations, or nil at the end. Steps
-	// may depend on memory contents (the executor passes the live
-	// memory).
-	Next(step int, mem []int64) []Op
+	// Step executes the step'th parallel step on mem and returns how many
+	// unit-cost operations it performed, or 0 when the program is
+	// complete. A step's operations must be independent: each writes
+	// cells no other operation of the step reads or writes, so running
+	// them in sequence is one legal schedule of the parallel step.
+	Step(step int, mem []int64) (ops int)
 }
 
 // Result summarises an emulated execution.
@@ -55,10 +50,10 @@ func (r Result) BrentBound(p int) int64 {
 }
 
 // Emulate runs the program on p emulated processors and returns the result.
-// Within each step, operations execute in batches of p; operations in the
-// same step observe the memory as of the step's start for cells they stage
-// through their closure reads — programs in this package are written so that
-// every step's reads and writes are disjoint, making batch order irrelevant.
+// Each step executes in place on a copy of the program's memory, and a step
+// of ops operations is charged ⌈ops/p⌉ time: its operations run in batches
+// of p. Every program in this package keeps a step's reads and writes
+// disjoint, so the order within a step cannot change the result.
 func Emulate(prog Program, p int) Result {
 	if p < 1 {
 		panic(fmt.Sprintf("pram: invalid processor count %d", p))
@@ -66,16 +61,13 @@ func Emulate(prog Program, p int) Result {
 	mem := append([]int64(nil), prog.Memory()...)
 	var res Result
 	for step := 0; ; step++ {
-		ops := prog.Next(step, mem)
-		if ops == nil {
+		ops := prog.Step(step, mem)
+		if ops == 0 {
 			break
 		}
 		res.Steps++
-		res.Work += int64(len(ops))
-		res.TimeP += int64((len(ops) + p - 1) / p)
-		for _, op := range ops {
-			op(mem)
-		}
+		res.Work += int64(ops)
+		res.TimeP += int64((ops + p - 1) / p)
 	}
 	res.Mem = mem
 	return res
@@ -93,18 +85,18 @@ type SumReduction struct {
 // Memory returns a copy of the input.
 func (s SumReduction) Memory() []int64 { return s.Input }
 
-// Next returns the step's pairwise additions.
-func (s SumReduction) Next(step int, mem []int64) []Op {
+// Step adds each pair at the step's stride.
+func (s SumReduction) Step(step int, mem []int64) int {
 	n := len(s.Input)
 	stride := 1 << uint(step+1)
 	if stride > n {
-		return nil
+		return 0
 	}
 	half := stride / 2
-	var ops []Op
+	ops := 0
 	for i := 0; i+half < n; i += stride {
-		i := i
-		ops = append(ops, func(m []int64) { m[i] += m[i+half] })
+		mem[i] += mem[i+half]
+		ops++
 	}
 	return ops
 }
@@ -125,32 +117,28 @@ func (h HillisSteele) Memory() []int64 {
 	return mem
 }
 
-// Next returns the step's shifted additions.
-func (h HillisSteele) Next(step int, mem []int64) []Op {
+// Step computes the next generation's shifted additions, then records in
+// the last cell which half holds it: n+1 operations.
+func (h HillisSteele) Step(step int, mem []int64) int {
 	n := len(h.Input)
 	offset := 1 << uint(step)
 	if offset >= n {
-		return nil
+		return 0
 	}
 	// generation parity selects which half is "current".
 	cur, nxt := 0, n
 	if step%2 == 1 {
 		cur, nxt = n, 0
 	}
-	ops := make([]Op, 0, n)
 	for i := 0; i < n; i++ {
-		i := i
-		ops = append(ops, func(m []int64) {
-			v := m[cur+i]
-			if i >= offset {
-				v += m[cur+i-offset]
-			}
-			m[nxt+i] = v
-		})
+		v := mem[cur+i]
+		if i >= offset {
+			v += mem[cur+i-offset]
+		}
+		mem[nxt+i] = v
 	}
-	// The last cell records which half holds the final generation.
-	ops = append(ops, func(m []int64) { m[2*n] = int64(nxt) })
-	return ops
+	mem[2*n] = int64(nxt)
+	return n + 1
 }
 
 // Scan extracts the final prefix sums from an emulated HillisSteele result.
@@ -185,40 +173,33 @@ func (l ListRanking) Memory() []int64 {
 	return mem
 }
 
-// Next returns one pointer-jumping half-round: even steps jump (reading the
+// Step runs one pointer-jumping half-round: even steps jump (reading the
 // live pointers, writing the scratch generation), odd steps publish the
 // scratch generation back. Splitting keeps every operation unit-cost and
 // every step's reads and writes disjoint.
-func (l ListRanking) Next(step int, mem []int64) []Op {
+func (l ListRanking) Step(step int, mem []int64) int {
 	n := len(l.Succ)
 	round := step / 2
 	if 1<<uint(round) >= n {
-		return nil
+		return 0
 	}
-	ops := make([]Op, 0, n)
 	if step%2 == 0 {
 		for i := 0; i < n; i++ {
-			i := i
-			ops = append(ops, func(m []int64) {
-				nx := int(m[i])
-				m[2*n+i] = m[nx] // next = next.next
-				if nx == i {
-					m[3*n+i] = m[n+i]
-				} else {
-					m[3*n+i] = m[n+i] + m[n+nx] // rank += rank(next)
-				}
-			})
+			nx := int(mem[i])
+			mem[2*n+i] = mem[nx] // next = next.next
+			if nx == i {
+				mem[3*n+i] = mem[n+i]
+			} else {
+				mem[3*n+i] = mem[n+i] + mem[n+nx] // rank += rank(next)
+			}
 		}
-		return ops
+		return n
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		ops = append(ops, func(m []int64) {
-			m[i] = m[2*n+i]
-			m[n+i] = m[3*n+i]
-		})
+		mem[i] = mem[2*n+i]
+		mem[n+i] = mem[3*n+i]
 	}
-	return ops
+	return n
 }
 
 // Ranks extracts node ranks (distance to tail) from an emulated result.
