@@ -447,6 +447,32 @@ func BenchmarkSimSchedulerThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSimCatalogue prices the simulator engine alone, through
+// RunAlgorithm, on the sim specs the serving workloads run: editdistance
+// n=32 is interactive-under-batch's flood, reduce n=256 its interactive
+// user and the dispatch matrices' job, and mergesort n=4096 the top of
+// compute-mix's sim sizes. Seeds vary per iteration, as in bench/'s
+// calibration loop.
+func BenchmarkSimCatalogue(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"editdistance", 32},
+		{"reduce", 256},
+		{"mergesort", 4096},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", c.name, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.RunAlgorithm(c.name, core.EngineSim, c.n, 0, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRNG measures the workload generator.
 func BenchmarkRNG(b *testing.B) {
 	r := workload.NewRNG(1)

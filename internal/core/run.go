@@ -74,10 +74,14 @@ type Outcome struct {
 type runner func(n, p int, seed uint64) (Outcome, error)
 
 // impl is one (algorithm, engine) pair of the catalogue: the runner and
-// the largest input size it admits (admission control: the simulator and
-// the Brent emulator do Θ(n)–Θ(n²) model bookkeeping per run, so
-// unbounded n is a denial of service).
+// the range of input sizes it admits. maxN is admission control: the
+// simulator and the Brent emulator do Θ(n)–Θ(n²) model bookkeeping per
+// run, so unbounded n is a denial of service. minN, where set, raises the
+// floor above 1 for a runner that cannot run smaller inputs (closest pair
+// needs two points), so the spec is refused instead of panicking the
+// worker that runs it.
 type impl struct {
+	minN int
 	maxN int
 	run  runner
 }
@@ -137,6 +141,9 @@ func resolve(name string, engine Engine, n, p int) (impl, error) {
 	}
 	if n < 1 {
 		return impl{}, fmt.Errorf("n must be >= 1, got %d", n)
+	}
+	if n < im.minN {
+		return impl{}, fmt.Errorf("n=%d is below the %s engine's minimum %d for %q", n, engine, im.minN, name)
 	}
 	if n > im.maxN {
 		return impl{}, fmt.Errorf("n=%d exceeds the %s engine's limit %d for %q", n, engine, im.maxN, name)
@@ -201,7 +208,10 @@ func simCostModel(rec func() master.IntRec) runner {
 	return func(n, p int, _ uint64) (Outcome, error) {
 		r := rec()
 		cm := dandc.CostModel{Rec: r, SpawnDepth: master.FrontierDepth(p, r.A) + 2}
-		res := sim.New(sim.Config{P: p}).MustRun(cm.Program(int64(n)))
+		res, err := sim.New(sim.Config{P: p}).Run(cm.Program(int64(n)))
+		if err != nil {
+			return Outcome{}, err
+		}
 		return Outcome{Steps: res.Steps, Work: res.Work, Threads: res.Threads}, nil
 	}
 }
@@ -212,7 +222,10 @@ func simDP(build func(n int, seed uint64) (dp.Spec, func(vals []int64) int64)) r
 		spec, answer := build(n, seed)
 		g := dp.BuildGraph(spec)
 		prog, vals := dp.Program(spec, g, dp.SimOptions{})
-		res := sim.New(sim.Config{P: p}).MustRun(prog)
+		res, err := sim.New(sim.Config{P: p}).Run(prog)
+		if err != nil {
+			return Outcome{}, err
+		}
 		return Outcome{
 			Steps: res.Steps, Work: res.Work, Threads: res.Threads,
 			Value: answer(vals), Check: checksumInt64s(vals),
@@ -403,7 +416,10 @@ var catalogue = map[string]map[Engine]impl{
 		EngineSim: {maxN: 96, run: func(n, p int, seed uint64) (Outcome, error) {
 			spec := dp.NewMatrixChain(matrixChainDims(n, seed))
 			prog, vals, _ := memo.Program(spec, spec.Cells()-1)
-			res := sim.New(sim.Config{P: p}).MustRun(prog)
+			res, err := sim.New(sim.Config{P: p}).Run(prog)
+			if err != nil {
+				return Outcome{}, err
+			}
 			return Outcome{
 				Steps: res.Steps, Work: res.Work, Threads: res.Threads,
 				Value: vals[spec.Cells()-1],
@@ -419,7 +435,7 @@ var catalogue = map[string]map[Engine]impl{
 		// T(n) = 2T(n/2) + n: the divide/combine of §4.1's closest pair
 		// on the exact scheduler.
 		EngineSim: {maxN: 1 << 30, run: simCostModel(dandc.Mergesort)},
-		EnginePalrt: {maxN: 1 << 20, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
+		EnginePalrt: {minN: 2, maxN: 1 << 20, run: palrtRunner(func(rt *palrt.RT, n int, seed uint64) (Outcome, error) {
 			pts := workload.Points(workload.NewRNG(seed), n)
 			d := dandc.ClosestPair(rt, pts)
 			return Outcome{Check: math.Float64bits(d)}, nil

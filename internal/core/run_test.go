@@ -34,6 +34,37 @@ func TestCatalogueValidation(t *testing.T) {
 	}
 }
 
+// TestCatalogueSmallN: every spec ValidateSpec admits at n = 1, 2, 3 runs
+// without panicking, on every engine and at several p; a spec the engine
+// cannot run is refused at admission instead. closestpair on palrt needs
+// two points, so n = 1 is refused there.
+func TestCatalogueSmallN(t *testing.T) {
+	if err := ValidateSpec("closestpair", EnginePalrt, 1, 0); err == nil {
+		t.Error("closestpair/palrt admitted n=1")
+	}
+	for _, name := range Algorithms() {
+		for _, e := range EnginesFor(name) {
+			for n := 1; n <= 3; n++ {
+				for _, p := range []int{0, 1, 2, 7} {
+					if ValidateSpec(name, e, n, p) != nil {
+						continue
+					}
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("%s/%s n=%d p=%d: admitted, then panicked: %v", name, e, n, p, r)
+							}
+						}()
+						if _, err := RunAlgorithm(name, e, n, p, 1); err != nil {
+							t.Errorf("%s/%s n=%d p=%d: %v", name, e, n, p, err)
+						}
+					}()
+				}
+			}
+		}
+	}
+}
+
 // TestRunDeterminism: same spec, same outcome — the property the result
 // cache depends on.
 func TestRunDeterminism(t *testing.T) {

@@ -94,3 +94,25 @@ func TestSimOutcomesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSimEditDistanceAllocs pins the serving workloads' heaviest sim job,
+// editdistance n=32 (about 1090 pal-threads), at 6000 allocations a run.
+// With a goroutine and two channels per thread it made 16.3k; on pooled
+// coroutines the simulator itself allocates little beyond a slab chunk
+// per 64 threads, and the count is mostly the DAG and the program's
+// closures.
+func TestSimEditDistanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates, distorting the counts")
+	}
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		if _, err := RunAlgorithm("editdistance", EngineSim, 32, 0, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6000 {
+		t.Errorf("RunAlgorithm(editdistance, sim, 32) allocates %.0f times, want <= 6000", allocs)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"lopram/internal/core"
 	"lopram/internal/jobqueue"
 )
 
@@ -307,6 +308,40 @@ func TestSubmitWait(t *testing.T) {
 	}
 	if view.Status != "done" || view.Result == nil {
 		t.Fatalf("view = %+v, want done with result", view)
+	}
+}
+
+// TestSubmitUnrunnableSpecRefused: a spec the engine cannot run
+// (closest pair of one point) is refused as a 400 bad_request envelope
+// instead of reaching a worker, and the same server then answers another
+// job correctly.
+func TestSubmitUnrunnableSpecRefused(t *testing.T) {
+	srv := testServer(t, jobqueue.Config{Workers: 1})
+	resp := postJSON(t, srv.URL+"/v1/jobs?wait=1", `{"algorithm":"closestpair","n":1,"engine":"palrt"}`)
+	var envelope struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || envelope.Code != "bad_request" || !strings.Contains(envelope.Error, "minimum 2") {
+		t.Fatalf("status %d, envelope %+v; want 400 bad_request naming the minimum", resp.StatusCode, envelope)
+	}
+	want, err := core.RunAlgorithm("closestpair", core.EnginePalrt, 2, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = postJSON(t, srv.URL+"/v1/jobs?wait=1", `{"algorithm":"closestpair","n":2,"engine":"palrt","seed":5}`)
+	var view struct {
+		Status string           `json:"status"`
+		Result *jobqueue.Result `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || view.Status != "done" || view.Result == nil || view.Result.Check != want.Check {
+		t.Fatalf("status %d, view %+v; want 200 done with check %#x", resp.StatusCode, view, want.Check)
 	}
 }
 

@@ -14,7 +14,7 @@ type BitonicSort struct {
 }
 
 // Memory returns a copy of the input.
-func (b BitonicSort) Memory() []int64 { return b.Input }
+func (b BitonicSort) Memory() []int64 { return append([]int64(nil), b.Input...) }
 
 // Step runs the step'th layer of the network, one compare-exchange per
 // pair. Layers are enumerated in the standard (k, j) double loop: k = 2,

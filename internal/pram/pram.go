@@ -22,7 +22,9 @@ import "fmt"
 // Program is a PRAM algorithm: a sequence of synchronous steps, each of
 // which the program executes itself.
 type Program interface {
-	// Memory returns the initial shared memory contents.
+	// Memory returns the initial shared memory contents in a fresh slice:
+	// Emulate executes the steps on it in place and returns it as
+	// Result.Mem, so it must not alias the program's input.
 	Memory() []int64
 	// Step executes the step'th parallel step on mem and returns how many
 	// unit-cost operations it performed, or 0 when the program is
@@ -50,7 +52,8 @@ func (r Result) BrentBound(p int) int64 {
 }
 
 // Emulate runs the program on p emulated processors and returns the result.
-// Each step executes in place on a copy of the program's memory, and a step
+// Each step executes in place on the memory the program's Memory returns,
+// which Emulate owns from then on, and a step
 // of ops operations is charged ⌈ops/p⌉ time: its operations run in batches
 // of p. Every program in this package keeps a step's reads and writes
 // disjoint, so the order within a step cannot change the result.
@@ -58,7 +61,7 @@ func Emulate(prog Program, p int) Result {
 	if p < 1 {
 		panic(fmt.Sprintf("pram: invalid processor count %d", p))
 	}
-	mem := append([]int64(nil), prog.Memory()...)
+	mem := prog.Memory()
 	var res Result
 	for step := 0; ; step++ {
 		ops := prog.Step(step, mem)
@@ -83,7 +86,7 @@ type SumReduction struct {
 }
 
 // Memory returns a copy of the input.
-func (s SumReduction) Memory() []int64 { return s.Input }
+func (s SumReduction) Memory() []int64 { return append([]int64(nil), s.Input...) }
 
 // Step adds each pair at the step's stride.
 func (s SumReduction) Step(step int, mem []int64) int {

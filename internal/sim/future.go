@@ -33,8 +33,8 @@ func (tc *TC) Resolve(f *Future) {
 	if f.resolved {
 		panic("sim: future resolved twice")
 	}
-	tc.th.req = request{kind: reqResolve, fut: f}
-	tc.th.yieldAndWait()
+	tc.m.req = request{kind: reqResolve, fut: f}
+	tc.yield()
 }
 
 // Await blocks the thread until the future resolves. Awaiting a resolved
@@ -43,12 +43,12 @@ func (tc *TC) Await(f *Future) {
 	if f.resolved {
 		return
 	}
-	tc.th.req = request{kind: reqAwait, fut: f}
-	tc.th.yieldAndWait()
+	tc.m.req = request{kind: reqAwait, fut: f}
+	tc.yield()
 }
 
 // handleResolve processes a reqResolve inside the scheduler. The
-// double-resolve check happened in TC.Resolve on the thread's goroutine.
+// double-resolve check happened in TC.Resolve, inside the thread's body.
 func (m *Machine) handleResolve(f *Future) {
 	f.resolved = true
 	for _, w := range f.waiters {

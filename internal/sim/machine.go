@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -53,18 +52,19 @@ type Config struct {
 	Trace bool
 }
 
-// Machine is a deterministic LoPRAM simulator. A Machine is single-use
-// per Run call but may Run multiple programs sequentially; it is not safe
-// for concurrent use.
+// Machine is a deterministic LoPRAM simulator. A Machine may Run
+// programs one after another, including after a failed Run; it is not
+// safe for concurrent use.
 type Machine struct {
 	p      int
 	policy Policy
 	trace  bool
 
 	now        int64
-	threads    []*thread
-	pending    *pendingQueue
-	events     eventHeap
+	nthreads   int   // threads created this run (pal + standard)
+	lastDoneAt int64 // the instant the latest thread finished
+	pending    pendingQueue
+	events     []event // completion events, a min-heap by (at, id)
 	running    int
 	live       int       // created and not yet done (pal + standard)
 	resumables []*thread // waiting parents whose block completed, FIFO
@@ -74,6 +74,12 @@ type Machine struct {
 
 	totalWork int64
 	procBusy  []int64 // per-processor busy step counts
+
+	req   request  // the running body's request (see request)
+	slab  []thread // unused records of the current thread chunk
+	coros []*coro  // every coroutine started this run
+	idle  []*coro  // coroutines free to carry the next thread
+	steps int      // body resumptions, for the GC yield
 
 	memWords  int
 	memPolicy crew.Policy
@@ -133,18 +139,24 @@ type threadPanic struct{ val any }
 // panicked (e.g. a CREW Abort-policy violation).
 var ErrThreadPanic = errors.New("sim: thread body panicked")
 
+// threadChunk is how many thread records newThread allocates at once.
+const threadChunk = 64
+
 // Run executes the program whose root pal-thread body is main and returns
 // the run summary. Time starts at step 1 with the root active, matching the
 // numbering of Figure 1 of the paper.
 //
 // A panic inside any thread body — including the CREW auditor's Abort
 // policy — aborts the run and is returned as an error wrapping
-// ErrThreadPanic. Threads still live at that point are abandoned (their
-// goroutines stay parked), so a machine that returned this error should not
-// be reused.
+// ErrThreadPanic. However Run returns, it first stops the coroutine of
+// every thread still live, unwinding those bodies (their deferred calls
+// run), so a failed run leaves no goroutine behind.
 func (m *Machine) Run(main Func) (res Result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		m.stopCoros()
+		m.slab = nil
+		if r != nil {
 			if tp, ok := r.(threadPanic); ok {
 				err = fmt.Errorf("%w: %v", ErrThreadPanic, tp.val)
 				return
@@ -153,8 +165,9 @@ func (m *Machine) Run(main Func) (res Result, err error) {
 		}
 	}()
 	m.now = 1
-	m.threads = m.threads[:0]
-	m.pending = newPendingQueue(m.policy)
+	m.nthreads = 0
+	m.lastDoneAt = 0
+	m.pending.reset(m.policy)
 	m.events = m.events[:0]
 	m.running = 0
 	m.live = 0
@@ -175,9 +188,7 @@ func (m *Machine) Run(main Func) (res Result, err error) {
 		m.traceRec = nil
 	}
 
-	root := m.newThread(nil, 0, main)
-	root.createdAt = m.now
-	m.pending.push(root)
+	m.pending.push(m.newThread(nil, main))
 
 	for {
 		// Global assignment phase: control-returns to completed-block
@@ -232,12 +243,17 @@ func (m *Machine) Run(main Func) (res Result, err error) {
 		m.drainEventsAt(m.now)
 	}
 
+	// lastDoneAt is the instant the last thread finished; the elapsed
+	// wall clock is that instant minus the start instant (time starts
+	// at 1).
 	res = Result{
-		Steps:    m.lastDone(),
 		Work:     m.totalWork,
-		Threads:  len(m.threads),
-		ProcBusy: append([]int64(nil), m.procBusy...),
+		Threads:  m.nthreads,
+		ProcBusy: m.procBusy,
 		Trace:    m.traceRec,
+	}
+	if m.lastDoneAt > 0 {
+		res.Steps = m.lastDoneAt - 1
 	}
 	return res, nil
 }
@@ -246,7 +262,8 @@ func (m *Machine) Run(main Func) (res Result, err error) {
 // time t, in id order.
 func (m *Machine) drainEventsAt(t int64) {
 	for len(m.events) > 0 && m.events[0].at == t {
-		ev := heap.Pop(&m.events).(event)
+		var ev event
+		ev, m.events = heapPop(m.events, eventLess)
 		th := ev.th
 		if th.busy != t || th.state != Running {
 			continue // stale entry
@@ -264,44 +281,33 @@ func (m *Machine) MustRun(main Func) Result {
 	return r
 }
 
-func (m *Machine) lastDone() int64 {
-	var last int64
-	for _, th := range m.threads {
-		if th.doneAt > last {
-			last = th.doneAt
+// newThread creates a pending thread with the given body as parent's
+// next child (the root when parent is nil). Its body starts when the
+// thread first runs.
+func (m *Machine) newThread(parent *thread, body Func) *thread {
+	if len(m.slab) == 0 {
+		m.slab = make([]thread, threadChunk)
+	}
+	th := &m.slab[0]
+	m.slab = m.slab[1:]
+	th.tc = TC{m: m, th: th}
+	th.id = m.nthreads
+	th.parent = parent
+	th.proc = -1
+	th.body = body
+	if parent != nil {
+		th.depth = parent.depth + 1
+		if last := parent.lastChild; last != nil {
+			th.childIdx = last.childIdx + 1
+			last.nextSibling = th
+		}
+		parent.lastChild = th
+		if parent.pendingHead == nil {
+			parent.pendingHead = th
 		}
 	}
-	// doneAt records the instant the thread finished; the elapsed wall
-	// clock is that instant minus the start instant (time starts at 1).
-	if last == 0 {
-		return 0
-	}
-	return last - 1
-}
-
-func (m *Machine) newThread(parent *thread, childIdx int, body Func) *thread {
-	th := &thread{
-		id:          len(m.threads),
-		parent:      parent,
-		childIdx:    childIdx,
-		seq:         int64(len(m.threads)),
-		state:       Pending,
-		proc:        -1,
-		resume:      make(chan struct{}),
-		yield:       make(chan struct{}),
-		createdAt:   m.now,
-		activatedAt: -1,
-		doneAt:      -1,
-	}
-	if parent != nil {
-		th.path = make([]int32, len(parent.path)+1)
-		copy(th.path, parent.path)
-		th.path[len(parent.path)] = int32(childIdx)
-		parent.children = append(parent.children, th)
-	}
-	m.threads = append(m.threads, th)
+	m.nthreads++
 	m.live++
-	th.start(m, body)
 	if m.traceRec != nil {
 		m.traceRec.noteCreated(th, m.now)
 	}
@@ -319,7 +325,6 @@ func (m *Machine) activate(th *thread) {
 func (m *Machine) activateOn(th *thread, proc int) {
 	th.state = Running
 	th.proc = proc
-	th.activatedAt = m.now
 	m.running++
 	m.pending.remove(th)
 	if m.traceRec != nil {
@@ -333,9 +338,8 @@ func (m *Machine) activateOn(th *thread, proc int) {
 // th Running and holding a processor.
 func (m *Machine) service(th *thread) {
 	for {
-		th.resume <- struct{}{}
-		<-th.yield
-		req := th.req
+		m.step(th)
+		req := m.req
 		switch req.kind {
 		case reqWork:
 			th.busy = m.now + req.units
@@ -344,13 +348,12 @@ func (m *Machine) service(th *thread) {
 			if m.traceRec != nil {
 				m.traceRec.noteBusy(th, m.now, req.units)
 			}
-			heap.Push(&m.events, event{at: th.busy, id: th.id, th: th})
+			m.events = heapPush(m.events, event{at: th.busy, id: th.id, th: th}, eventLess)
 			return
 
 		case reqSpawn:
 			for _, body := range req.children {
-				child := m.newThread(th, len(th.children), body)
-				m.pending.push(child)
+				m.pending.push(m.newThread(th, body))
 			}
 			// Parent keeps its processor and continues.
 
@@ -362,14 +365,15 @@ func (m *Machine) service(th *thread) {
 			// the parent keeps its processor and continues.
 
 		case reqDo:
-			first := len(th.children)
-			for _, body := range req.children {
-				child := m.newThread(th, len(th.children), body)
+			for i, body := range req.children {
+				child := m.newThread(th, body)
 				m.pending.push(child)
+				if i == 0 {
+					th.pendingHead = child
+				}
 			}
 			th.blockOpen = true
 			th.blockRemaining = len(req.children)
-			th.pendingHead = first
 			th.state = Waiting
 			m.running--
 			proc := th.proc
@@ -402,7 +406,8 @@ func (m *Machine) service(th *thread) {
 
 		case reqDone:
 			th.state = Done
-			th.doneAt = m.now
+			m.lastDoneAt = m.now // time never runs backwards
+			m.release(th)
 			m.running--
 			m.live--
 			proc := th.proc
@@ -494,13 +499,13 @@ func (m *Machine) popResumable() *thread {
 // nextPendingChild returns th's earliest still-pending child, advancing the
 // pendingHead cursor past non-pending entries, or nil.
 func nextPendingChild(th *thread) *thread {
-	for th.pendingHead < len(th.children) {
-		c := th.children[th.pendingHead]
+	for c := th.pendingHead; c != nil; c = c.nextSibling {
 		if c.state == Pending {
+			th.pendingHead = c
 			return c
 		}
-		th.pendingHead++
 	}
+	th.pendingHead = nil
 	return nil
 }
 
@@ -511,17 +516,11 @@ type event struct {
 	th *thread
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventLess orders completion events by (time, thread id), so events due
+// at the same instant are serviced in id order.
+func eventLess(a, b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-var _ heap.Interface = (*eventHeap)(nil)

@@ -1,28 +1,37 @@
 package sim
 
-import "container/heap"
-
 // pendingQueue orders pending threads for global activation according to the
 // machine's Policy. Threads activated through local handoff are lazily
 // removed (marked and skipped at pop time), keeping both paths O(log n).
 type pendingQueue struct {
-	policy Policy
-	h      threadHeap
+	less  func(a, b *thread) bool
+	items []*thread // a min-heap by less
 }
 
-func newPendingQueue(policy Policy) *pendingQueue {
-	return &pendingQueue{policy: policy, h: threadHeap{policy: policy}}
+// reset empties the queue and orders it by policy.
+func (q *pendingQueue) reset(policy Policy) {
+	switch policy {
+	case FIFO:
+		q.less = func(a, b *thread) bool { return a.id < b.id }
+	case LIFO:
+		q.less = func(a, b *thread) bool { return a.id > b.id }
+	default: // Preorder
+		q.less = preorderLess
+	}
+	clear(q.items)
+	q.items = q.items[:0]
 }
 
 func (q *pendingQueue) push(th *thread) {
 	th.inQueue = true
-	heap.Push(&q.h, th)
+	q.items = heapPush(q.items, th, q.less)
 }
 
 // pop returns the highest-priority thread still pending, or nil.
 func (q *pendingQueue) pop() *thread {
-	for q.h.Len() > 0 {
-		th := heap.Pop(&q.h).(*thread)
+	for len(q.items) > 0 {
+		var th *thread
+		th, q.items = heapPop(q.items, q.less)
 		if th.inQueue && th.state == Pending {
 			th.inQueue = false
 			return th
@@ -34,60 +43,68 @@ func (q *pendingQueue) pop() *thread {
 // remove lazily deletes th from the queue.
 func (q *pendingQueue) remove(th *thread) { th.inQueue = false }
 
-// empty reports whether no pending thread remains.
-func (q *pendingQueue) empty() bool {
-	for q.h.Len() > 0 {
-		th := q.h.items[0]
-		if th.inQueue && th.state == Pending {
+// preorderLess reports whether a precedes b in the preorder traversal of
+// the activation tree: an ancestor precedes its descendants, and below
+// their deepest common ancestor the branch with the smaller child index
+// comes first. It walks parent links instead of comparing stored paths,
+// so a thread costs no path of its own.
+func preorderLess(a, b *thread) bool {
+	for a.depth > b.depth {
+		if a = a.parent; a == b {
 			return false
 		}
-		heap.Pop(&q.h)
 	}
-	return true
-}
-
-type threadHeap struct {
-	policy Policy
-	items  []*thread
-}
-
-func (h *threadHeap) Len() int { return len(h.items) }
-
-func (h *threadHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	switch h.policy {
-	case FIFO:
-		return a.seq < b.seq
-	case LIFO:
-		return a.seq > b.seq
-	default: // Preorder
-		return pathLess(a.path, b.path)
-	}
-}
-
-func (h *threadHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-func (h *threadHeap) Push(x any) { h.items = append(h.items, x.(*thread)) }
-
-func (h *threadHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// pathLess compares tree paths lexicographically; a prefix precedes its
-// extensions, which is exactly preorder.
-func pathLess(a, b []int32) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+	for b.depth > a.depth {
+		if b = b.parent; b == a {
+			return true
 		}
 	}
-	return len(a) < len(b)
+	if a == b {
+		return false
+	}
+	for a.parent != b.parent {
+		a, b = a.parent, b.parent
+	}
+	return a.childIdx < b.childIdx
+}
+
+// heapPush appends x to the binary min-heap h ordered by less and restores
+// the heap order.
+func heapPush[T any](h []T, x T, less func(a, b T) bool) []T {
+	h = append(h, x)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !less(h[i], h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	return h
+}
+
+// heapPop removes the minimum of the non-empty binary min-heap h ordered
+// by less, and returns it with the shrunk heap.
+func heapPop[T any](h []T, less func(a, b T) bool) (T, []T) {
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	var zero T
+	h[n] = zero
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && less(h[r], h[j]) {
+			j = r
+		}
+		if !less(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return top, h
 }

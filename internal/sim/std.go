@@ -22,8 +22,8 @@ func (tc *TC) Launch(children ...Func) {
 	if len(children) == 0 {
 		return
 	}
-	tc.th.req = request{kind: reqLaunch, children: children}
-	tc.th.yieldAndWait()
+	tc.m.req = request{kind: reqLaunch, children: children}
+	tc.yield()
 }
 
 // stdPool tracks live standard threads and their remaining work.
@@ -80,9 +80,8 @@ func (sp *stdPool) minRemaining() int64 {
 // until it declares work or finishes.
 func (m *Machine) serviceStd(th *thread) {
 	for {
-		th.resume <- struct{}{}
-		<-th.yield
-		req := th.req
+		m.step(th)
+		req := m.req
 		switch req.kind {
 		case reqWork:
 			th.busyRem = req.units
@@ -99,7 +98,8 @@ func (m *Machine) serviceStd(th *thread) {
 
 		case reqDone:
 			th.state = Done
-			th.doneAt = m.now
+			m.lastDoneAt = m.now
+			m.release(th)
 			m.live--
 			if m.traceRec != nil {
 				m.traceRec.noteDone(th, m.now)
@@ -117,11 +117,9 @@ func (m *Machine) serviceStd(th *thread) {
 
 // launchStd creates and immediately starts a standard thread.
 func (m *Machine) launchStd(parent *thread, body Func) {
-	th := m.newThread(parent, len(parent.children), body)
+	th := m.newThread(parent, body)
 	th.std = true
 	th.state = Running
-	th.activatedAt = m.now
-	m.pending.remove(th) // standard threads never sit in the pal queue
 	if m.traceRec != nil {
 		m.traceRec.noteActivated(th, m.now)
 	}

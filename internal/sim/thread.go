@@ -31,6 +31,28 @@
 //
 // The simulated wall-clock of a run is exactly the T_p(n) analysed by
 // Theorem 1 of the paper, which is what the experiment suite checks.
+//
+// # Execution on the host
+//
+// The scheduler and the thread bodies run in lockstep: one body runs at a
+// time, until its next TC call, which hands a request to the scheduler.
+// Each body runs on a runtime coroutine (iter.Pull), so a request is one
+// coroutine switch each way instead of a handoff through the Go
+// scheduler. A thread takes a coroutine when it first runs and gives it
+// back when it finishes, for the next thread to reuse; a pending thread
+// holds none. So a run needs one coroutine per thread that is running or
+// waiting at once: an Algorithm 1 run on p processors uses p of them, where
+// a goroutine per thread made 1090 for editdistance n=32, whose run time
+// fell from 6.5–7.1 ms to 2.7–2.8 ms. Run stops every coroutine before it
+// returns, so a failed run leaves nothing parked.
+//
+// A coroutine switch bypasses the Go scheduler, so on a busy two-core host
+// the GC's fractional mark worker got no turn until async preemption: under
+// a serving load, concurrent mark p90 rose from 1.7 to 3.7 ms, heap goals
+// above 4 MB went from 26 of 1067 GC cycles to 196 of 1829, and the
+// daemon's peak RSS rose 15–16%. The scheduler therefore yields the
+// processor (runtime.Gosched) once every gcYieldEvery body resumptions,
+// which cut those heap goals to 54 of 2091 cycles.
 package sim
 
 import "fmt"
@@ -72,7 +94,7 @@ func (s State) String() string {
 // declare work and create children.
 type Func func(*TC)
 
-// reqKind discriminates the scheduler requests a thread goroutine can issue.
+// reqKind discriminates the scheduler requests a thread body can issue.
 type reqKind int
 
 const (
@@ -86,9 +108,10 @@ const (
 	reqAwait
 )
 
-// request is the message a thread passes to the scheduler at each yield
-// point. Exactly one request is outstanding per thread; the simulator is
-// single-threaded and resumes threads one at a time.
+// request is what a thread body hands the scheduler at each yield point.
+// One body runs at a time, so the machine holds the one outstanding
+// request (Machine.req): the body writes it and switches to the scheduler,
+// which reads it before resuming any body.
 type request struct {
 	kind     reqKind
 	units    int64   // reqWork
@@ -97,23 +120,29 @@ type request struct {
 	fut      *Future // reqResolve, reqAwait
 }
 
-// thread is the scheduler-side record of a pal-thread.
+// thread is the scheduler-side record of a pal-thread. Records come from a
+// per-run slab (Machine.newThread), and the TC handed to the body is
+// embedded, so creating a thread allocates nothing of its own.
 type thread struct {
-	id       int
-	parent   *thread
-	childIdx int     // index among siblings, creation order
-	path     []int32 // child indices from root; preorder sort key
-	seq      int64   // global creation sequence number (FIFO/LIFO keys)
+	tc     TC // the body's context; tc.th points back at this record
+	id     int
+	parent *thread
+	// childIdx is the index among siblings in creation order, and depth
+	// the distance from the root. The path from the root, the preorder
+	// key, is recovered by walking parent links (preorderLess, TC.Path).
+	childIdx int32
+	depth    int32
 
 	state State
 	proc  int   // processor currently assigned, -1 if none
 	busy  int64 // time at which the current Work segment completes
 
-	// Children created by this thread, in creation order. pendingHead
-	// indexes the first child that has not been activated yet; the
+	// Children link in creation order through nextSibling. pendingHead is
+	// the first child that may still be pending (nil past the last); the
 	// scheduler hands freed processors to children starting there.
-	children    []*thread
-	pendingHead int
+	lastChild   *thread
+	nextSibling *thread
+	pendingHead *thread
 
 	// blockOpen is true between a Do issue and the completion of all the
 	// block's children; blockRemaining counts unfinished children of the
@@ -121,14 +150,10 @@ type thread struct {
 	blockOpen      bool
 	blockRemaining int
 
-	// Lockstep coroutine channels: the scheduler sends on resume, the
-	// thread body writes req and replies on yield.
-	resume chan struct{}
-	yield  chan struct{}
-	req    request
-
-	// Trace timestamps (-1 where not reached).
-	createdAt, activatedAt, doneAt int64
+	// body starts on the coroutine co when the thread first runs. co is
+	// nil while the thread is pending and after it finishes.
+	body Func
+	co   *coro
 
 	// heap bookkeeping for the pending queue (lazy deletion).
 	inQueue bool
@@ -143,7 +168,10 @@ type thread struct {
 
 // TC is the context handed to a pal-thread body. Its methods are the
 // simulated LoPRAM programming interface. A TC is only valid inside the body
-// it was passed to, on the goroutine running that body.
+// it was passed to, while that body runs. The methods that issue a request
+// (Work, Do, Spawn, Launch, Resolve, Await) switch to the scheduler and
+// return when the thread is resumed; if the run ends first, they unwind
+// the body instead, running its deferred calls, and never return.
 type TC struct {
 	m  *Machine
 	th *thread
@@ -156,8 +184,8 @@ func (tc *TC) Work(units int64) {
 	if units <= 0 {
 		return
 	}
-	tc.th.req = request{kind: reqWork, units: units}
-	tc.th.yieldAndWait()
+	tc.m.req = request{kind: reqWork, units: units}
+	tc.yield()
 }
 
 // Do executes a palthreads block: the children are created in the order
@@ -167,8 +195,8 @@ func (tc *TC) Do(children ...Func) {
 	if len(children) == 0 {
 		return
 	}
-	tc.th.req = request{kind: reqDo, children: children}
-	tc.th.yieldAndWait()
+	tc.m.req = request{kind: reqDo, children: children}
+	tc.yield()
 }
 
 // Spawn executes a "palthreads { ... } nowait" block: the children are
@@ -179,8 +207,8 @@ func (tc *TC) Spawn(children ...Func) {
 	if len(children) == 0 {
 		return
 	}
-	tc.th.req = request{kind: reqSpawn, children: children}
-	tc.th.yieldAndWait()
+	tc.m.req = request{kind: reqSpawn, children: children}
+	tc.yield()
 }
 
 // Now returns the current simulated time step.
@@ -196,31 +224,22 @@ func (tc *TC) Proc() int { return tc.th.proc }
 func (tc *TC) ID() int { return tc.th.id }
 
 // Path returns the thread's position in the activation tree as the sequence
-// of child indices from the root. The root has an empty path. The returned
-// slice must not be modified.
-func (tc *TC) Path() []int32 { return tc.th.path }
-
-func (t *thread) yieldAndWait() {
-	t.yield <- struct{}{}
-	<-t.resume
+// of child indices from the root. The root has an empty path. Each call
+// builds a fresh slice.
+func (tc *TC) Path() []int32 {
+	path := make([]int32, tc.th.depth)
+	for t := tc.th; t.parent != nil; t = t.parent {
+		path[t.depth-1] = t.childIdx
+	}
+	return path
 }
 
-// start launches the thread body goroutine. The body runs only when the
-// scheduler resumes it; when the body returns, a final reqDone is issued. A
-// panic inside the body (including a CREW Abort-policy violation) is relayed
-// to the scheduler, which fails the whole Run — the machine-level analogue
-// of the paper's "suspension of execution".
-func (t *thread) start(m *Machine, body Func) {
-	go func() {
-		<-t.resume
-		defer func() {
-			if r := recover(); r != nil {
-				t.req = request{kind: reqPanic, panicVal: r}
-				t.yield <- struct{}{}
-			}
-		}()
-		body(&TC{m: m, th: t})
-		t.req = request{kind: reqDone}
-		t.yield <- struct{}{}
-	}()
+// yield hands the request in tc.m.req to the scheduler and returns when
+// the scheduler resumes the thread. If Run stopped the coroutine instead,
+// it unwinds the body with the coroStopped sentinel, which the coroutine's
+// loop swallows.
+func (tc *TC) yield() {
+	if !tc.th.co.yield(struct{}{}) {
+		panic(coroStopped{})
+	}
 }

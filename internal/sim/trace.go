@@ -7,7 +7,7 @@ import "sort"
 // the data source for the Figure 1 reproduction and the Gantt renderer.
 type Trace struct {
 	nodes     map[string]*NodeTrace
-	order     []*NodeTrace // creation order
+	order     []*NodeTrace // creation order, so indexed by thread id
 	Intervals [][]Interval // per processor
 }
 
@@ -45,27 +45,36 @@ func pathKey(path []int32) string {
 	return string(b)
 }
 
+// noteCreated records a new thread. Threads keep no path of their own, so
+// the node's path is built here from the parent's node.
 func (t *Trace) noteCreated(th *thread, at int64) {
+	var path []int32
+	if th.parent != nil {
+		pp := t.order[th.parent.id].Path
+		path = make([]int32, len(pp)+1)
+		copy(path, pp)
+		path[len(pp)] = th.childIdx
+	}
 	n := &NodeTrace{
 		ID:          th.id,
-		Path:        append([]int32(nil), th.path...),
+		Path:        path,
 		CreatedAt:   at,
 		ActivatedAt: -1,
 		DoneAt:      -1,
 		Proc:        -1,
 	}
-	t.nodes[pathKey(th.path)] = n
+	t.nodes[pathKey(path)] = n
 	t.order = append(t.order, n)
 }
 
 func (t *Trace) noteActivated(th *thread, at int64) {
-	n := t.nodes[pathKey(th.path)]
+	n := t.order[th.id]
 	n.ActivatedAt = at
 	n.Proc = th.proc
 }
 
 func (t *Trace) noteResumed(th *thread, at int64) {
-	n := t.nodes[pathKey(th.path)]
+	n := t.order[th.id]
 	n.Resumptions = append(n.Resumptions, at)
 	n.Proc = th.proc
 }
@@ -85,7 +94,7 @@ func (t *Trace) noteBusyStd(th *thread, proc int, from, units int64) {
 }
 
 func (t *Trace) noteDone(th *thread, at int64) {
-	t.nodes[pathKey(th.path)].DoneAt = at
+	t.order[th.id].DoneAt = at
 }
 
 // Node returns the trace of the thread at the given tree path, or nil if no
