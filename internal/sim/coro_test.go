@@ -3,7 +3,10 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
+
+	"lopram/internal/workload"
 )
 
 // TestRunLeavesNoGoroutine: however a run ends, Run stops the coroutine of
@@ -131,6 +134,36 @@ func TestCoroutinesPooled(t *testing.T) {
 		}
 		if len(m.coros) != 0 || len(m.idle) != 0 {
 			t.Errorf("p=%d: after Run, %d coroutines and %d idle, want none", p, len(m.coros), len(m.idle))
+		}
+	}
+}
+
+// TestPreorderLessMatchesPaths: on random trees with chains a few hundred
+// deep, preorderLess, which climbs parent and jump links, orders every
+// pair of threads as the lexicographic order of their root paths does.
+func TestPreorderLessMatchesPaths(t *testing.T) {
+	r := workload.NewRNG(26)
+	for trial := 0; trial < 20; trial++ {
+		m := New(Config{P: 1})
+		ths := []*thread{m.newThread(nil, nil)}
+		for len(ths) < 400 {
+			// Mostly extend a recent thread, so some chains run deep.
+			parent := ths[len(ths)-1-r.Intn(min(len(ths), 3))]
+			if r.Intn(8) == 0 {
+				parent = ths[r.Intn(len(ths))]
+			}
+			ths = append(ths, m.newThread(parent, nil))
+		}
+		paths := make([][]int32, len(ths))
+		for i, th := range ths {
+			paths[i] = th.tc.Path()
+		}
+		for i, a := range ths {
+			for j, b := range ths {
+				if got, want := preorderLess(a, b), slices.Compare(paths[i], paths[j]) < 0; got != want {
+					t.Fatalf("trial %d: preorderLess(%v, %v) = %v, want %v", trial, paths[i], paths[j], got, want)
+				}
+			}
 		}
 	}
 }

@@ -295,8 +295,16 @@ func (m *Machine) newThread(parent *thread, body Func) *thread {
 	th.parent = parent
 	th.proc = -1
 	th.body = body
+	th.jump = th
 	if parent != nil {
 		th.depth = parent.depth + 1
+		// Jump two of the parent's jumps at once when they span equal
+		// depths, else to the parent: jump depths then depend on depth
+		// alone, and every ancestor is O(log depth) jumps away.
+		th.jump = parent
+		if j := parent.jump; parent.depth-j.depth == j.depth-j.jump.depth {
+			th.jump = j.jump
+		}
 		if last := parent.lastChild; last != nil {
 			th.childIdx = last.childIdx + 1
 			last.nextSibling = th

@@ -46,26 +46,45 @@ func (q *pendingQueue) remove(th *thread) { th.inQueue = false }
 // preorderLess reports whether a precedes b in the preorder traversal of
 // the activation tree: an ancestor precedes its descendants, and below
 // their deepest common ancestor the branch with the smaller child index
-// comes first. It walks parent links instead of comparing stored paths,
-// so a thread costs no path of its own.
+// comes first. It climbs parent and jump links instead of comparing
+// stored paths, so a thread keeps no path of its own and a comparison
+// costs O(log depth).
 func preorderLess(a, b *thread) bool {
-	for a.depth > b.depth {
-		if a = a.parent; a == b {
+	switch {
+	case a.depth > b.depth:
+		if a = a.ancestorAt(b.depth); a == b {
 			return false
 		}
-	}
-	for b.depth > a.depth {
-		if b = b.parent; b == a {
+	case b.depth > a.depth:
+		if b = b.ancestorAt(a.depth); a == b {
 			return true
 		}
-	}
-	if a == b {
+	case a == b:
 		return false
 	}
+	// a and b are distinct and equally deep, so their jumps are too.
+	// Climb to the two children of their deepest common ancestor.
 	for a.parent != b.parent {
-		a, b = a.parent, b.parent
+		if a.jump != b.jump {
+			a, b = a.jump, b.jump
+		} else {
+			a, b = a.parent, b.parent
+		}
 	}
 	return a.childIdx < b.childIdx
+}
+
+// ancestorAt returns t's ancestor at the given depth, which must not
+// exceed t's.
+func (t *thread) ancestorAt(depth int32) *thread {
+	for t.depth > depth {
+		if t.jump.depth >= depth {
+			t = t.jump
+		} else {
+			t = t.parent
+		}
+	}
+	return t
 }
 
 // heapPush appends x to the binary min-heap h ordered by less and restores

@@ -41,18 +41,20 @@
 // scheduler. A thread takes a coroutine when it first runs and gives it
 // back when it finishes, for the next thread to reuse; a pending thread
 // holds none. So a run needs one coroutine per thread that is running or
-// waiting at once: an Algorithm 1 run on p processors uses p of them, where
-// a goroutine per thread made 1090 for editdistance n=32, whose run time
-// fell from 6.5–7.1 ms to 2.7–2.8 ms. Run stops every coroutine before it
-// returns, so a failed run leaves nothing parked.
+// waiting at once: an Algorithm 1 run on p processors uses p of them. With
+// a goroutine and two channels per thread instead, the catalogue's
+// editdistance n=32 (1090 threads) took 6.4–7.4 ms and 16.3k allocations
+// a run; on pooled coroutines it takes 2.0–2.7 ms and 4.4k, most of them
+// the program's own (go test -bench, shared 2-core Xeon host). Run stops
+// every coroutine before it returns, so a failed run leaves nothing
+// parked.
 //
-// A coroutine switch bypasses the Go scheduler, so on a busy two-core host
-// the GC's fractional mark worker got no turn until async preemption: under
-// a serving load, concurrent mark p90 rose from 1.7 to 3.7 ms, heap goals
-// above 4 MB went from 26 of 1067 GC cycles to 196 of 1829, and the
-// daemon's peak RSS rose 15–16%. The scheduler therefore yields the
-// processor (runtime.Gosched) once every gcYieldEvery body resumptions,
-// which cut those heap goals to 54 of 2091 cycles.
+// A coroutine switch bypasses the Go scheduler, so a run that keeps its
+// processor busy gives the GC's fractional mark worker no turn until async
+// preemption, and a serving daemon's heap grows while marking falls
+// behind. The scheduler therefore yields the processor (runtime.Gosched)
+// once every gcYieldEvery body resumptions; the constant's comment gives
+// the measurement.
 package sim
 
 import "fmt"
@@ -130,8 +132,12 @@ type thread struct {
 	// childIdx is the index among siblings in creation order, and depth
 	// the distance from the root. The path from the root, the preorder
 	// key, is recovered by walking parent links (preorderLess, TC.Path).
+	// jump is a skew-binary jump pointer to an ancestor (the root's is
+	// itself), which lets preorderLess reach an ancestor in O(log depth)
+	// steps.
 	childIdx int32
 	depth    int32
+	jump     *thread
 
 	state State
 	proc  int   // processor currently assigned, -1 if none
