@@ -15,8 +15,9 @@ import (
 // yielding every 256 resumptions cut those to 54 of 2091, and the daemon's
 // RSS excess over goroutine threads from 15–16% to 4–7%. With the thread
 // slab in place as well, removing the yield still raised the daemon's
-// peak RSS in 3 of 3 runs (16.06, 15.79, 16.15 → 16.38, 16.70, 17.79 MB)
-// and its CPU per job by 7%. It is a measured constant, not a knob.
+// peak RSS in each of 3 alternating pairs (16.06, 15.79, 16.15 → 16.38,
+// 16.70, 17.79 MB) and its CPU per job by 7%. It is a measured constant,
+// not a knob.
 const gcYieldEvery = 256
 
 // coroStopped is the panic value that unwinds a body whose coroutine Run

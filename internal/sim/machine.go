@@ -373,12 +373,11 @@ func (m *Machine) service(th *thread) {
 			// the parent keeps its processor and continues.
 
 		case reqDo:
-			for i, body := range req.children {
-				child := m.newThread(th, body)
-				m.pending.push(child)
-				if i == 0 {
-					th.pendingHead = child
-				}
+			// Restart the scan for a pending child at the block's
+			// first child, which newThread makes the head.
+			th.pendingHead = nil
+			for _, body := range req.children {
+				m.pending.push(m.newThread(th, body))
 			}
 			th.blockOpen = true
 			th.blockRemaining = len(req.children)
