@@ -4,6 +4,11 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
+
+	"lopram/internal/dandc"
+	"lopram/internal/dp"
+	"lopram/internal/memo"
+	"lopram/internal/sim"
 )
 
 // simSweepDigest is the FNV-1a digest of every sim entry's Outcome over
@@ -91,6 +96,93 @@ func TestSimOutcomesPinned(t *testing.T) {
 		}
 		if o != pin.outcome {
 			t.Errorf("%s n=%d p=%d seed=%d: outcome %+v, want %+v", pin.name, pin.n, pin.p, pin.seed, o, pin.outcome)
+		}
+	}
+}
+
+// simPoliciesDigest is the FNV-1a digest of TestSimPoliciesPinned's runs,
+// recorded while every new pal-thread still entered the pending heap and
+// Spawn still switched to the scheduler. The catalogue runs only the
+// Preorder policy; this pins the FIFO and LIFO ablation orders as well,
+// and through the traced runs every thread's timestamps and processor.
+const simPoliciesDigest = 0x071258764ab76f80
+
+// TestSimPoliciesPinned: Algorithm 1 on three dynamic programs, one
+// Do-tree cost model and one memoized (§4.5) program keep their Steps,
+// Work, Threads and values under every activation Policy at p = 1, 2, 3
+// and 7, and one traced editdistance run per policy keeps every node's
+// Created/Activated/Done/Proc and every busy interval.
+func TestSimPoliciesPinned(t *testing.T) {
+	h := fnv.New64a()
+	put := func(vs ...int64) {
+		var buf [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	dpCase := func(build func(n int, seed uint64) (dp.Spec, func([]int64) int64), n int) func() (sim.Func, []int64) {
+		return func() (sim.Func, []int64) {
+			spec, _ := build(n, 3)
+			return dp.Program(spec, dp.BuildGraph(spec), dp.SimOptions{})
+		}
+	}
+	programs := []struct {
+		name string
+		prog func() (sim.Func, []int64)
+	}{
+		{"editdistance", dpCase(editDistanceSpec, 12)},
+		{"lcs", dpCase(lcsSpec, 12)},
+		{"knapsack", dpCase(knapsackSpec, 10)},
+		{"case1-do-tree", func() (sim.Func, []int64) {
+			cm := dandc.CostModel{Rec: dandc.Case1Rec(), SpawnDepth: -1}
+			return cm.Program(32), nil
+		}},
+		{"memo-editdistance", func() (sim.Func, []int64) {
+			spec, _ := editDistanceSpec(10, 3)
+			prog, vals, _ := memo.Program(spec, spec.Cells()-1)
+			return prog, vals
+		}},
+	}
+	policies := []sim.Policy{sim.Preorder, sim.FIFO, sim.LIFO}
+	for _, pol := range policies {
+		for _, pr := range programs {
+			for _, p := range []int{1, 2, 3, 7} {
+				prog, vals := pr.prog()
+				res, err := sim.New(sim.Config{P: p, Policy: pol}).Run(prog)
+				if err != nil {
+					t.Fatalf("%s %v p=%d: %v", pr.name, pol, p, err)
+				}
+				h.Write([]byte(pr.name))
+				put(int64(pol), int64(p), res.Steps, res.Work, int64(res.Threads))
+				put(vals...)
+			}
+		}
+		spec, _ := editDistanceSpec(8, 3)
+		prog, _ := dp.Program(spec, dp.BuildGraph(spec), dp.SimOptions{})
+		res, err := sim.New(sim.Config{P: 3, Policy: pol, Trace: true}).Run(prog)
+		if err != nil {
+			t.Fatalf("traced editdistance %v: %v", pol, err)
+		}
+		put(res.Steps, res.Work, int64(res.Threads))
+		digestTrace(put, res.Trace)
+	}
+	if got := h.Sum64(); got != simPoliciesDigest {
+		t.Errorf("sim policy digest = %#x, want %#x", got, uint64(simPoliciesDigest))
+	}
+}
+
+// digestTrace feeds every node's lifecycle and every busy interval of tr
+// to put.
+func digestTrace(put func(...int64), tr *sim.Trace) {
+	for _, n := range tr.Nodes() {
+		put(int64(n.ID), n.CreatedAt, n.ActivatedAt, n.DoneAt, int64(n.Proc))
+		put(n.Resumptions...)
+	}
+	for proc, ivs := range tr.Intervals {
+		put(int64(proc), int64(len(ivs)))
+		for _, iv := range ivs {
+			put(iv.From, iv.To, int64(iv.Thread))
 		}
 	}
 }
