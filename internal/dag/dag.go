@@ -38,6 +38,27 @@ func New(n int) *Graph {
 	}
 }
 
+// WithOutDegrees returns an empty graph on len(outDeg) vertices whose
+// successor lists are carved from one backing array, list u with room for
+// exactly outDeg[u] edges. Adding those edges then allocates nothing; an
+// edge beyond a list's room reallocates that list alone, because each
+// list's capacity ends where the next list begins. outDeg is not retained.
+func WithOutDegrees(outDeg []int32) *Graph {
+	g := New(len(outDeg))
+	total := 0
+	for _, d := range outDeg {
+		total += int(d)
+	}
+	backing := make([]int32, total)
+	off := 0
+	for u, d := range outDeg {
+		end := off + int(d)
+		g.adj[u] = backing[off:off:end]
+		off = end
+	}
+	return g
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
@@ -195,7 +216,7 @@ func (g *Graph) LongestChain() (int, error) {
 // dependencies graph), then reverses it to obtain the execution DAG; this is
 // that reversal step.
 func (g *Graph) Reverse() *Graph {
-	r := New(g.n)
+	r := WithOutDegrees(g.in)
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.adj[u] {
 			r.AddEdge(int(v), u)

@@ -39,11 +39,22 @@ type Spec interface {
 // BuildGraph constructs the execution DAG of the spec: an edge u→v for every
 // dependency of v on u. In the paper's pipeline this is steps (i) and (ii):
 // the dependencies graph is determined per cell and reversed; we emit the
-// reversed (execution-order) graph directly.
+// reversed (execution-order) graph directly. A first pass over Deps counts
+// each cell's dependents, so the second fills every successor list in one
+// array; each list holds its dependents in ascending order.
 func BuildGraph(s Spec) *dag.Graph {
 	n := s.Cells()
-	g := dag.New(n)
+	outDeg := make([]int32, n)
 	buf := make([]int, 0, 8)
+	for v := 0; v < n; v++ {
+		buf = s.Deps(v, buf[:0])
+		for _, u := range buf {
+			if uint(u) < uint(n) { // AddEdge reports the rest
+				outDeg[u]++
+			}
+		}
+	}
+	g := dag.WithOutDegrees(outDeg)
 	for v := 0; v < n; v++ {
 		buf = s.Deps(v, buf[:0])
 		for _, u := range buf {
@@ -56,7 +67,8 @@ func BuildGraph(s Spec) *dag.Graph {
 // BuildGraphParallel constructs the same graph with the cell range chunked
 // across the runtime's processors — the O(m·n^d/p) parallel construction of
 // §4.4. Chunks accumulate edges privately and splice them afterwards, so no
-// two processors write the same adjacency list.
+// two processors write the same adjacency list; the splice fills one array
+// as BuildGraph does, in the same order.
 func BuildGraphParallel(rt *palrt.RT, s Spec) *dag.Graph {
 	n := s.Cells()
 	p := rt.P()
@@ -89,7 +101,15 @@ func BuildGraphParallel(rt *palrt.RT, s Spec) *dag.Graph {
 		})
 	}
 	rt.Do(jobs...)
-	g := dag.New(n)
+	outDeg := make([]int32, n)
+	for _, ch := range chunks {
+		for _, e := range ch {
+			if uint32(e.u) < uint32(n) { // AddEdge reports the rest
+				outDeg[e.u]++
+			}
+		}
+	}
+	g := dag.WithOutDegrees(outDeg)
 	for _, ch := range chunks {
 		for _, e := range ch {
 			g.AddEdge(int(e.u), int(e.v))

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"slices"
 	"testing"
 
 	"lopram/internal/palrt"
@@ -154,7 +155,8 @@ func TestRunLevelsMatchesSeq(t *testing.T) {
 }
 
 // TestBuildGraphParallelMatches: chunked parallel construction produces the
-// same graph as the sequential one.
+// same graph as the sequential one, successor lists in the same order
+// (ascending, which fixes Algorithm 1's spawn order).
 func TestBuildGraphParallelMatches(t *testing.T) {
 	rt := palrt.New(5)
 	for _, c := range buildCases(t) {
@@ -165,20 +167,11 @@ func TestBuildGraphParallelMatches(t *testing.T) {
 		}
 		for v := 0; v < g1.N(); v++ {
 			a, b := g1.Succ(v), g2.Succ(v)
-			if len(a) != len(b) {
-				t.Fatalf("%s: vertex %d degree %d vs %d", c.name, v, len(a), len(b))
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s: vertex %d successors %v vs %v", c.name, v, a, b)
 			}
-			count := map[int32]int{}
-			for _, x := range a {
-				count[x]++
-			}
-			for _, x := range b {
-				count[x]--
-			}
-			for _, d := range count {
-				if d != 0 {
-					t.Fatalf("%s: vertex %d adjacency differs", c.name, v)
-				}
+			if !slices.IsSorted(a) {
+				t.Fatalf("%s: vertex %d successors %v not ascending", c.name, v, a)
 			}
 		}
 	}

@@ -30,46 +30,70 @@ type SimOptions struct {
 // The program carries per-run counter state and is therefore single-use:
 // build a fresh one for every Machine.Run call.
 func Program(s Spec, g *dag.Graph, opt SimOptions) (prog sim.Func, vals []int64) {
-	n := g.N()
-	vals = make([]int64, n)
-	cnt := g.InDegrees()
-	get := func(x int) int64 { return vals[x] }
-
-	updateCost := int64(1)
+	r := &counterRun{s: s, g: g, vals: make([]int64, g.N()), cnt: g.InDegrees(), updateCost: 1}
+	r.get = func(x int) int64 { return r.vals[x] }
 	if opt.CrewCounters {
-		updateCost = ceilLog2(opt.P)
+		r.updateCost = ceilLog2(opt.P)
 	}
-
-	var computeVertex func(u int) sim.Func
-	computeVertex = func(u int) sim.Func {
-		return func(tc *sim.TC) {
-			tc.Work(s.Cost(u))
-			vals[u] = s.Compute(u, get)
-			succ := g.Succ(u)
-			if len(succ) == 0 {
-				return
-			}
-			tc.Work(updateCost * int64(len(succ)))
-			var ready []sim.Func
-			for _, v := range succ {
-				cnt[v]--
-				if cnt[v] == 0 {
-					ready = append(ready, computeVertex(int(v)))
-				}
-			}
-			tc.Spawn(ready...)
-		}
-	}
-
 	prog = func(tc *sim.TC) {
-		src := g.Sources()
-		kids := make([]sim.Func, len(src))
-		for i, u := range src {
-			kids[i] = computeVertex(u)
+		ready := r.ready[:0]
+		for u, c := range r.cnt {
+			if c == 0 {
+				ready = append(ready, r.vertex(u))
+			}
 		}
-		tc.Spawn(kids...)
+		r.spawn(tc, ready)
 	}
-	return prog, vals
+	return prog, r.vals
+}
+
+// counterRun is the per-run state of a Program: the spec, its graph, the
+// cell values and Algorithm 1's dependency counters. A vertex's body
+// captures only the run and the vertex, so each spawned thread costs one
+// small closure.
+type counterRun struct {
+	s          Spec
+	g          *dag.Graph
+	vals       []int64
+	cnt        []int32
+	get        func(int) int64
+	updateCost int64
+	// ready is reused by every vertex: Spawn keeps no reference to it,
+	// and no other body runs between filling it and the Spawn.
+	ready []sim.Func
+}
+
+// vertex returns the body of the thread that computes cell u.
+func (r *counterRun) vertex(u int) sim.Func {
+	return func(tc *sim.TC) { r.computeVertex(tc, u) }
+}
+
+// computeVertex is Algorithm 1's computeVertex(u): the cell's work, then
+// one counter update per dependent, then a nowait spawn of the dependents
+// whose counters reached zero.
+func (r *counterRun) computeVertex(tc *sim.TC, u int) {
+	tc.Work(r.s.Cost(u))
+	r.vals[u] = r.s.Compute(u, r.get)
+	succ := r.g.Succ(u)
+	if len(succ) == 0 {
+		return
+	}
+	tc.Work(r.updateCost * int64(len(succ)))
+	ready := r.ready[:0]
+	for _, v := range succ {
+		r.cnt[v]--
+		if r.cnt[v] == 0 {
+			ready = append(ready, r.vertex(int(v)))
+		}
+	}
+	r.spawn(tc, ready)
+}
+
+// spawn pal-spawns ready and keeps its backing array for the next vertex.
+func (r *counterRun) spawn(tc *sim.TC, ready []sim.Func) {
+	tc.Spawn(ready...)
+	clear(ready)
+	r.ready = ready[:0]
 }
 
 // BuildProgram returns a simulator program modelling the parallel

@@ -5,12 +5,12 @@ import (
 	"runtime"
 )
 
-// gcYieldEvery is how many body resumptions the scheduler makes between
-// runtime.Gosched calls. A coroutine switch never enters the Go scheduler,
-// so without the yield a run that holds its processor starves the GC's
-// fractional mark worker until async preemption. Under the
-// interactive-under-batch serving load on a 2-core host (GODEBUG=gctrace=1),
-// coroutines without the yield raised concurrent mark p90 from 1.7 to
+// gcYieldEvery is how many body steps (resumptions, and the TC calls that
+// act in place) a run makes between runtime.Gosched calls. A coroutine
+// switch never enters the Go scheduler, so without the yield a run that
+// holds its processor starves the GC's fractional mark worker until async
+// preemption. Under the interactive-under-batch serving load on a 2-core
+// host (GODEBUG=gctrace=1), coroutines without the yield raised concurrent mark p90 from 1.7 to
 // 3.7 ms and heap goals above 4 MB from 26 of 1067 cycles to 196 of 1829;
 // yielding every 256 resumptions cut those to 54 of 2091, and the daemon's
 // RSS excess over goroutine threads from 15–16% to 4–7%. With the thread
@@ -53,7 +53,7 @@ func (c *coro) loop(yield func(struct{}) bool) {
 // reports whether the body was unwound because Run stopped the coroutine.
 func (c *coro) run() (stopped bool) {
 	th := c.th
-	m := th.tc.m
+	m := th.m
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(coroStopped); ok {
@@ -63,7 +63,7 @@ func (c *coro) run() (stopped bool) {
 			m.req = request{kind: reqPanic, panicVal: r}
 		}
 	}()
-	th.body(&th.tc)
+	th.body((*TC)(th))
 	m.req = request{kind: reqDone}
 	return false
 }
@@ -85,10 +85,18 @@ func (m *Machine) step(th *thread) {
 		c.th = th
 		th.co = c
 	}
-	if m.steps++; m.steps%gcYieldEvery == 0 {
+	m.tick()
+	c.next()
+}
+
+// tick counts one step of the running body, a resumption or a TC call
+// that acts in place (Spawn, Resolve), and yields the processor once
+// every gcYieldEvery steps.
+func (m *Machine) tick() {
+	if m.sinceYield++; m.sinceYield == gcYieldEvery {
+		m.sinceYield = 0
 		runtime.Gosched()
 	}
-	c.next()
 }
 
 // release returns the coroutine of th, which just finished, to the idle

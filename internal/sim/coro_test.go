@@ -14,11 +14,21 @@ import (
 // it was, and a body cut short is unwound with its deferred calls run.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	unwound := 0
+	// A standard thread that calls a pal-thread primitive fails the run:
+	// the body panics, its deferred call runs, and the other standard
+	// thread's coroutine is stopped.
+	stdCalls := func(call func(tc *TC)) Func {
+		return func(tc *TC) {
+			tc.Launch(
+				func(tc *TC) { defer func() { unwound++ }(); tc.Work(1); call(tc) },
+				func(tc *TC) { tc.Work(5) },
+			)
+		}
+	}
 	cases := []struct {
 		name    string
 		main    Func
-		wantErr error // nil: the run succeeds, unless it panics
-		panics  bool  // Run itself panics (a scheduler-side misuse)
+		wantErr error // nil: the run succeeds
 		unwinds int   // bodies Run must unwind
 	}{
 		{name: "clean", main: msortFig(64)},
@@ -44,14 +54,21 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 			unwinds: 2,
 		},
 		{
-			name: "standard thread calls Do",
-			main: func(tc *TC) {
-				tc.Launch(
-					func(tc *TC) { defer func() { unwound++ }(); tc.Work(1); tc.Do(func(tc *TC) {}) },
-					func(tc *TC) { tc.Work(5) },
-				)
-			},
-			panics:  true,
+			name:    "standard thread calls Do",
+			main:    stdCalls(func(tc *TC) { tc.Do(func(tc *TC) {}) }),
+			wantErr: ErrThreadPanic,
+			unwinds: 1,
+		},
+		{
+			name:    "standard thread calls Spawn",
+			main:    stdCalls(func(tc *TC) { tc.Spawn(func(tc *TC) {}) }),
+			wantErr: ErrThreadPanic,
+			unwinds: 1,
+		},
+		{
+			name:    "standard thread calls Await",
+			main:    stdCalls(func(tc *TC) { tc.Await(tc.NewFuture()) }),
+			wantErr: ErrThreadPanic,
 			unwinds: 1,
 		},
 		{
@@ -75,11 +92,7 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 			unwound = 0
 			base := runtime.NumGoroutine()
 			m := New(Config{P: 2})
-			err, panicked := runRecover(m, c.main)
-			if panicked != c.panics {
-				t.Fatalf("Run panicked = %v, want %v", panicked, c.panics)
-			}
-			if !c.panics && !errors.Is(err, c.wantErr) {
+			if _, err := m.Run(c.main); !errors.Is(err, c.wantErr) {
 				t.Fatalf("Run error = %v, want %v", err, c.wantErr)
 			}
 			if got := runtime.NumGoroutine(); got > base {
@@ -96,16 +109,6 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 			}
 		})
 	}
-}
-
-func runRecover(m *Machine, main Func) (err error, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	_, err = m.Run(main)
-	return err, false
 }
 
 // TestCoroutinesPooled: a thread takes a coroutine when it first runs and
@@ -156,7 +159,7 @@ func TestPreorderLessMatchesPaths(t *testing.T) {
 		}
 		paths := make([][]int32, len(ths))
 		for i, th := range ths {
-			paths[i] = th.tc.Path()
+			paths[i] = (*TC)(th).Path()
 		}
 		for i, a := range ths {
 			for j, b := range ths {

@@ -26,31 +26,17 @@ func (f *Future) Resolved() bool { return f.resolved }
 // NewFuture returns an unresolved future bound to the thread's machine.
 func (tc *TC) NewFuture() *Future { return &Future{} }
 
-// Resolve marks the future resolved and wakes all waiters. Resolving an
-// already-resolved future panics (inside the thread body, so Run reports it
-// as an ErrThreadPanic error): each sub-problem is solved exactly once.
+// Resolve marks the future resolved and wakes all waiters through the
+// machine's control-return queue. The resolving thread keeps its
+// processor. Resolving an already-resolved future panics (inside the
+// thread body, so Run reports it as an ErrThreadPanic error): each
+// sub-problem is solved exactly once.
 func (tc *TC) Resolve(f *Future) {
 	if f.resolved {
 		panic("sim: future resolved twice")
 	}
-	tc.m.req = request{kind: reqResolve, fut: f}
-	tc.yield()
-}
-
-// Await blocks the thread until the future resolves. Awaiting a resolved
-// future returns immediately.
-func (tc *TC) Await(f *Future) {
-	if f.resolved {
-		return
-	}
-	tc.m.req = request{kind: reqAwait, fut: f}
-	tc.yield()
-}
-
-// handleResolve processes a reqResolve inside the scheduler. The
-// double-resolve check happened in TC.Resolve, inside the thread's body.
-func (m *Machine) handleResolve(f *Future) {
 	f.resolved = true
+	m := tc.m
 	for _, w := range f.waiters {
 		if w.state == Waiting && !w.resumable {
 			w.resumable = true
@@ -58,4 +44,16 @@ func (m *Machine) handleResolve(f *Future) {
 		}
 	}
 	f.waiters = nil
+	m.tick()
+}
+
+// Await blocks the thread until the future resolves. Awaiting a resolved
+// future returns immediately.
+func (tc *TC) Await(f *Future) {
+	tc.palOnly("Await")
+	if f.resolved {
+		return
+	}
+	tc.m.req = request{kind: reqAwait, fut: f}
+	tc.yield()
 }

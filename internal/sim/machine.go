@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"lopram/internal/crew"
 )
@@ -70,16 +71,16 @@ type Machine struct {
 	resumables []*thread // waiting parents whose block completed, FIFO
 	std        stdPool   // live standard threads (§3.1)
 
-	freeProcs []int // stack of free processor ids
+	freeProcs []int32 // stack of free processor ids
 
 	totalWork int64
 	procBusy  []int64 // per-processor busy step counts
 
-	req   request  // the running body's request (see request)
-	slab  []thread // unused records of the current thread chunk
-	coros []*coro  // every coroutine started this run
-	idle  []*coro  // coroutines free to carry the next thread
-	steps int      // body resumptions, for the GC yield
+	req        request  // the running body's request (see request)
+	slab       []thread // unused records of the current thread chunk
+	coros      []*coro  // every coroutine started this run
+	idle       []*coro  // coroutines free to carry the next thread
+	sinceYield int      // body steps since the last GC yield (tick)
 
 	memWords  int
 	memPolicy crew.Policy
@@ -139,8 +140,10 @@ type threadPanic struct{ val any }
 // panicked (e.g. a CREW Abort-policy violation).
 var ErrThreadPanic = errors.New("sim: thread body panicked")
 
-// threadChunk is how many thread records newThread allocates at once.
-const threadChunk = 64
+// threadChunk is how many thread records newThread allocates at once:
+// as many as fill 8 KB, one of the allocator's size classes, so a chunk
+// wastes no tail.
+const threadChunk = 8192 / unsafe.Sizeof(thread{})
 
 // Run executes the program whose root pal-thread body is main and returns
 // the run summary. Time starts at step 1 with the root active, matching the
@@ -179,7 +182,7 @@ func (m *Machine) Run(main Func) (res Result, err error) {
 	}
 	m.freeProcs = m.freeProcs[:0]
 	for i := m.p - 1; i >= 0; i-- {
-		m.freeProcs = append(m.freeProcs, i)
+		m.freeProcs = append(m.freeProcs, int32(i))
 	}
 	m.procBusy = make([]int64, m.p)
 	if m.trace {
@@ -290,8 +293,8 @@ func (m *Machine) newThread(parent *thread, body Func) *thread {
 	}
 	th := &m.slab[0]
 	m.slab = m.slab[1:]
-	th.tc = TC{m: m, th: th}
-	th.id = m.nthreads
+	th.m = m
+	th.id = int32(m.nthreads)
 	th.parent = parent
 	th.proc = -1
 	th.body = body
@@ -330,7 +333,7 @@ func (m *Machine) activate(th *thread) {
 	m.activateOn(th, proc)
 }
 
-func (m *Machine) activateOn(th *thread, proc int) {
+func (m *Machine) activateOn(th *thread, proc int32) {
 	th.state = Running
 	th.proc = proc
 	m.running++
@@ -359,12 +362,6 @@ func (m *Machine) service(th *thread) {
 			m.events = heapPush(m.events, event{at: th.busy, id: th.id, th: th}, eventLess)
 			return
 
-		case reqSpawn:
-			for _, body := range req.children {
-				m.pending.push(m.newThread(th, body))
-			}
-			// Parent keeps its processor and continues.
-
 		case reqLaunch:
 			for _, body := range req.children {
 				m.launchStd(th, body)
@@ -380,7 +377,7 @@ func (m *Machine) service(th *thread) {
 				m.pending.push(m.newThread(th, body))
 			}
 			th.blockOpen = true
-			th.blockRemaining = len(req.children)
+			th.blockRemaining = int32(len(req.children))
 			th.state = Waiting
 			m.running--
 			proc := th.proc
@@ -393,10 +390,6 @@ func (m *Machine) service(th *thread) {
 
 		case reqPanic:
 			panic(threadPanic{val: req.panicVal})
-
-		case reqResolve:
-			m.handleResolve(req.fut)
-			// The thread keeps its processor and continues.
 
 		case reqAwait:
 			f := req.fut
@@ -454,7 +447,7 @@ func (m *Machine) service(th *thread) {
 //     is returned to the parent");
 //  4. otherwise the processor returns to the free pool and the main loop's
 //     global assignment phase applies the configured policy.
-func (m *Machine) routeProc(proc int, th *thread) {
+func (m *Machine) routeProc(proc int32, th *thread) {
 	if child := nextPendingChild(th); child != nil {
 		m.activateOn(child, proc)
 		return
@@ -478,7 +471,7 @@ func (m *Machine) routeProc(proc int, th *thread) {
 
 // resume restarts a Waiting thread whose block has fully completed, giving
 // it the processor (§3.1's "control is returned to the parent").
-func (m *Machine) resume(parent *thread, proc int) {
+func (m *Machine) resume(parent *thread, proc int32) {
 	parent.blockOpen = false
 	parent.resumable = false
 	parent.state = Running
@@ -519,7 +512,7 @@ func nextPendingChild(th *thread) *thread {
 // event is a completion event: thread th finishes its Work segment at `at`.
 type event struct {
 	at int64
-	id int
+	id int32
 	th *thread
 }
 

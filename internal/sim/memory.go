@@ -46,7 +46,7 @@ func (tc *TC) Read(addr int) int64 {
 		panic("sim: no shared memory attached (use Machine.AttachMemory)")
 	}
 	m.syncMemEpoch()
-	return m.mem.Read(tc.proc(), addr)
+	return m.mem.Read(tc.auditProc(), addr)
 }
 
 // Write stores v at addr of the machine's shared memory, audited against
@@ -57,17 +57,17 @@ func (tc *TC) Write(addr int, v int64) {
 		panic("sim: no shared memory attached (use Machine.AttachMemory)")
 	}
 	m.syncMemEpoch()
-	m.mem.Write(tc.proc(), addr, v)
+	m.mem.Write(tc.auditProc(), addr, v)
 }
 
-// proc returns the auditing processor id for the thread: its dedicated
+// auditProc returns the auditing processor id for the thread: its dedicated
 // processor for pal-threads, or a stable pseudo-processor id for standard
 // threads (which hold no fixed processor; using the thread id beyond the
 // machine's processor range keeps distinct standard threads distinct for
 // the auditor without colliding with pal processors).
-func (tc *TC) proc() int {
-	if tc.th.proc >= 0 {
-		return tc.th.proc
+func (tc *TC) auditProc() int {
+	if tc.proc >= 0 {
+		return int(tc.proc)
 	}
-	return tc.m.p + tc.th.id
+	return tc.m.p + int(tc.id)
 }

@@ -1,11 +1,18 @@
 package sim
 
 // pendingQueue orders pending threads for global activation according to the
-// machine's Policy. Threads activated through local handoff are lazily
-// removed (marked and skipped at pop time), keeping both paths O(log n).
+// machine's Policy. Most threads never need it: §3.1's local handoffs claim
+// a thread soon after its parent creates it. So push only stages a thread,
+// and pop heaps the staged threads that are still pending before it picks.
+// Every policy is a strict total order on distinct threads, so the minimum
+// over the still-pending threads does not depend on when each entered the
+// heap: staging changes no pick, only how many threads are ever compared.
+// Threads claimed after they entered the heap are removed lazily (marked,
+// and skipped at pop time).
 type pendingQueue struct {
 	less  func(a, b *thread) bool
 	items []*thread // a min-heap by less
+	fresh []*thread // pushed since the last pop, not yet heaped
 }
 
 // reset empties the queue and orders it by policy.
@@ -20,15 +27,24 @@ func (q *pendingQueue) reset(policy Policy) {
 	}
 	clear(q.items)
 	q.items = q.items[:0]
+	clear(q.fresh)
+	q.fresh = q.fresh[:0]
 }
 
 func (q *pendingQueue) push(th *thread) {
 	th.inQueue = true
-	q.items = heapPush(q.items, th, q.less)
+	q.fresh = append(q.fresh, th)
 }
 
 // pop returns the highest-priority thread still pending, or nil.
 func (q *pendingQueue) pop() *thread {
+	for _, th := range q.fresh {
+		if th.inQueue && th.state == Pending {
+			q.items = heapPush(q.items, th, q.less)
+		}
+	}
+	clear(q.fresh)
+	q.fresh = q.fresh[:0]
 	for len(q.items) > 0 {
 		var th *thread
 		th, q.items = heapPop(q.items, q.less)

@@ -11,8 +11,8 @@ package sim
 // in parallel when enough are free, by deterministic round-robin
 // multitasking otherwise, and stalled entirely while pal-threads hold all
 // processors. Standard threads may perform Work and Launch further standard
-// threads; they may not open palthreads blocks (Do/Spawn), which belong to
-// the algorithmic tree.
+// threads; they may not open palthreads blocks (Do/Spawn) or Await, which
+// belong to the algorithmic tree (TC.palOnly fails the run).
 
 // Launch creates standard threads with the given bodies. They begin
 // executing immediately (there is no pending state for standard threads) and
@@ -93,9 +93,6 @@ func (m *Machine) serviceStd(th *thread) {
 				m.launchStd(th, body)
 			}
 
-		case reqResolve:
-			m.handleResolve(req.fut)
-
 		case reqDone:
 			th.state = Done
 			m.lastDoneAt = m.now
@@ -108,9 +105,6 @@ func (m *Machine) serviceStd(th *thread) {
 
 		case reqPanic:
 			panic(threadPanic{val: req.panicVal})
-
-		case reqDo, reqSpawn, reqAwait:
-			panic("sim: standard threads cannot use pal-thread primitives (Do/Spawn/Await)")
 		}
 	}
 }

@@ -63,7 +63,7 @@ import "fmt"
 // colours of Figure 1 of the paper: a Pending thread is "gray" (requested
 // but not active), Running/Waiting threads are "black" (activated), and
 // calls never created are "white" (they have no Thread at all).
-type State int32
+type State uint8
 
 const (
 	// Pending: created by a palthreads block but not yet assigned a
@@ -89,7 +89,7 @@ func (s State) String() string {
 	case Done:
 		return "done"
 	}
-	return fmt.Sprintf("State(%d)", int32(s))
+	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
 // Func is the body of a pal-thread. It receives the thread context used to
@@ -102,46 +102,36 @@ type reqKind int
 const (
 	reqWork reqKind = iota
 	reqDo
-	reqSpawn
 	reqLaunch
 	reqDone
 	reqPanic
-	reqResolve
 	reqAwait
 )
 
-// request is what a thread body hands the scheduler at each yield point.
-// One body runs at a time, so the machine holds the one outstanding
+// request is what a thread body hands the scheduler when it switches to
+// it. One body runs at a time, so the machine holds the one outstanding
 // request (Machine.req): the body writes it and switches to the scheduler,
 // which reads it before resuming any body.
 type request struct {
 	kind     reqKind
 	units    int64   // reqWork
-	children []Func  // reqDo, reqSpawn, reqLaunch
+	children []Func  // reqDo, reqLaunch
 	panicVal any     // reqPanic
-	fut      *Future // reqResolve, reqAwait
+	fut      *Future // reqAwait
 }
 
 // thread is the scheduler-side record of a pal-thread. Records come from a
-// per-run slab (Machine.newThread), and the TC handed to the body is
-// embedded, so creating a thread allocates nothing of its own.
+// per-run slab (Machine.newThread), and the TC handed to the body is the
+// record itself, so creating a thread allocates nothing of its own. A run
+// creates one record per pal-thread, so the fields are ordered and sized
+// to keep the record small: 112 bytes on 64-bit hosts.
 type thread struct {
-	tc     TC // the body's context; tc.th points back at this record
-	id     int
+	m      *Machine
 	parent *thread
-	// childIdx is the index among siblings in creation order, and depth
-	// the distance from the root. The path from the root, the preorder
-	// key, is recovered by walking parent links (preorderLess, TC.Path).
 	// jump is a skew-binary jump pointer to an ancestor (the root's is
 	// itself), which lets preorderLess reach an ancestor in O(log depth)
 	// steps.
-	childIdx int32
-	depth    int32
-	jump     *thread
-
-	state State
-	proc  int   // processor currently assigned, -1 if none
-	busy  int64 // time at which the current Work segment completes
+	jump *thread
 
 	// Children link in creation order through nextSibling. pendingHead is
 	// the first child that may still be pending (nil past the last); the
@@ -150,38 +140,53 @@ type thread struct {
 	nextSibling *thread
 	pendingHead *thread
 
-	// blockOpen is true between a Do issue and the completion of all the
-	// block's children; blockRemaining counts unfinished children of the
-	// current block. Spawn children are not counted (no implicit wait).
-	blockOpen      bool
-	blockRemaining int
-
 	// body starts on the coroutine co when the thread first runs. co is
 	// nil while the thread is pending and after it finishes.
 	body Func
 	co   *coro
 
-	// heap bookkeeping for the pending queue (lazy deletion).
+	busy int64 // time at which the current Work segment completes
+	// busyRem is a standard thread's remaining work.
+	busyRem int64
+
+	id int32
+	// childIdx is the index among siblings in creation order, and depth
+	// the distance from the root. The path from the root, the preorder
+	// key, is recovered by walking parent links (preorderLess, TC.Path).
+	childIdx int32
+	depth    int32
+	proc     int32 // processor currently assigned, -1 if none
+	// blockRemaining counts unfinished children of the current Do block.
+	// Spawn children are not counted (no implicit wait).
+	blockRemaining int32
+
+	state State
+	// blockOpen is true between a Do issue and the completion of all the
+	// block's children.
+	blockOpen bool
+	// inQueue is the pending queue's bookkeeping (lazy deletion).
 	inQueue bool
 	// resumable marks a waiting parent whose block completed but which
 	// has not yet received a processor for its control-return.
 	resumable bool
 	// std marks a standard thread (§3.1): multitasked over free
-	// processors rather than owning one. busyRem is its remaining work.
-	std     bool
-	busyRem int64
+	// processors rather than owning one.
+	std bool
 }
 
 // TC is the context handed to a pal-thread body. Its methods are the
 // simulated LoPRAM programming interface. A TC is only valid inside the body
-// it was passed to, while that body runs. The methods that issue a request
-// (Work, Do, Spawn, Launch, Resolve, Await) switch to the scheduler and
-// return when the thread is resumed; if the run ends first, they unwind
-// the body instead, running its deferred calls, and never return.
-type TC struct {
-	m  *Machine
-	th *thread
-}
+// it was passed to, while that body runs. The methods that need the
+// scheduler (Work, Do, Launch, Await) switch to it and return when the
+// thread is resumed; if the run ends first, they unwind the body instead,
+// running its deferred calls, and never return. Spawn and Resolve leave
+// the thread on its processor, so they update the machine in place.
+//
+// Do, Spawn and Await are pal-thread primitives: a standard thread that
+// calls one panics, which fails the run with an ErrThreadPanic error.
+//
+// A TC is its thread's scheduler record, seen through the methods below.
+type TC thread
 
 // Work declares that the thread performs units units of computation; the
 // simulated clock charges one step per unit to the thread's processor.
@@ -198,6 +203,7 @@ func (tc *TC) Work(units int64) {
 // given, the thread suspends at the block's implicit wait, and it resumes
 // once every child has completed. An empty block is a no-op.
 func (tc *TC) Do(children ...Func) {
+	tc.palOnly("Do")
 	if len(children) == 0 {
 		return
 	}
@@ -208,13 +214,18 @@ func (tc *TC) Do(children ...Func) {
 // Spawn executes a "palthreads { ... } nowait" block: the children are
 // created but the thread continues immediately. There is no join primitive;
 // per §3.1 execution of the machine concludes when no threads remain, which
-// is how Algorithm 1 terminates.
+// is how Algorithm 1 terminates. Spawn keeps no reference to the children
+// slice, so the caller may reuse it.
 func (tc *TC) Spawn(children ...Func) {
+	tc.palOnly("Spawn")
 	if len(children) == 0 {
 		return
 	}
-	tc.m.req = request{kind: reqSpawn, children: children}
-	tc.yield()
+	m := tc.m
+	for _, body := range children {
+		m.pending.push(m.newThread((*thread)(tc), body))
+	}
+	m.tick()
 }
 
 // Now returns the current simulated time step.
@@ -224,20 +235,28 @@ func (tc *TC) Now() int64 { return tc.m.now }
 func (tc *TC) P() int { return tc.m.p }
 
 // Proc returns the processor the thread is currently running on.
-func (tc *TC) Proc() int { return tc.th.proc }
+func (tc *TC) Proc() int { return int(tc.proc) }
 
 // ID returns the thread's id (creation order, root = 0).
-func (tc *TC) ID() int { return tc.th.id }
+func (tc *TC) ID() int { return int(tc.id) }
 
 // Path returns the thread's position in the activation tree as the sequence
 // of child indices from the root. The root has an empty path. Each call
 // builds a fresh slice.
 func (tc *TC) Path() []int32 {
-	path := make([]int32, tc.th.depth)
-	for t := tc.th; t.parent != nil; t = t.parent {
+	path := make([]int32, tc.depth)
+	for t := (*thread)(tc); t.parent != nil; t = t.parent {
 		path[t.depth-1] = t.childIdx
 	}
 	return path
+}
+
+// palOnly panics, inside the body, when a standard thread calls the
+// pal-thread primitive name.
+func (tc *TC) palOnly(name string) {
+	if tc.std {
+		panic("sim: standard threads cannot use pal-thread primitives: " + name)
+	}
 }
 
 // yield hands the request in tc.m.req to the scheduler and returns when
@@ -245,7 +264,7 @@ func (tc *TC) Path() []int32 {
 // it unwinds the body with the coroStopped sentinel, which the coroutine's
 // loop swallows.
 func (tc *TC) yield() {
-	if !tc.th.co.yield(struct{}{}) {
+	if !tc.co.yield(struct{}{}) {
 		panic(coroStopped{})
 	}
 }

@@ -56,7 +56,7 @@ func (t *Trace) noteCreated(th *thread, at int64) {
 		path[len(pp)] = th.childIdx
 	}
 	n := &NodeTrace{
-		ID:          th.id,
+		ID:          int(th.id),
 		Path:        path,
 		CreatedAt:   at,
 		ActivatedAt: -1,
@@ -70,26 +70,26 @@ func (t *Trace) noteCreated(th *thread, at int64) {
 func (t *Trace) noteActivated(th *thread, at int64) {
 	n := t.order[th.id]
 	n.ActivatedAt = at
-	n.Proc = th.proc
+	n.Proc = int(th.proc)
 }
 
 func (t *Trace) noteResumed(th *thread, at int64) {
 	n := t.order[th.id]
 	n.Resumptions = append(n.Resumptions, at)
-	n.Proc = th.proc
+	n.Proc = int(th.proc)
 }
 
 func (t *Trace) noteBusy(th *thread, from, units int64) {
 	t.Intervals[th.proc] = append(t.Intervals[th.proc], Interval{
-		From: from, To: from + units, Thread: th.id,
+		From: from, To: from + units, Thread: int(th.id),
 	})
 }
 
 // noteBusyStd records a standard thread's quantum on the processor it was
 // multiplexed onto (standard threads hold no dedicated processor).
-func (t *Trace) noteBusyStd(th *thread, proc int, from, units int64) {
+func (t *Trace) noteBusyStd(th *thread, proc int32, from, units int64) {
 	t.Intervals[proc] = append(t.Intervals[proc], Interval{
-		From: from, To: from + units, Thread: th.id,
+		From: from, To: from + units, Thread: int(th.id),
 	})
 }
 
