@@ -29,6 +29,7 @@ type coroStopped struct{}
 // with yield. When a body finishes, the coroutine parks at its loop's
 // yield until it is resumed with the next thread, or stopped.
 type coro struct {
+	m     *Machine
 	th    *thread // the thread being carried, nil while idle
 	next  func() (struct{}, bool)
 	stop  func()
@@ -53,7 +54,7 @@ func (c *coro) loop(yield func(struct{}) bool) {
 // reports whether the body was unwound because Run stopped the coroutine.
 func (c *coro) run() (stopped bool) {
 	th := c.th
-	m := th.m
+	m := c.m
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(coroStopped); ok {
@@ -78,7 +79,7 @@ func (m *Machine) step(th *thread) {
 			c = m.idle[n-1]
 			m.idle = m.idle[:n-1]
 		} else {
-			c = new(coro)
+			c = &coro{m: m}
 			c.next, c.stop = iter.Pull(c.loop)
 			m.coros = append(m.coros, c)
 		}

@@ -119,7 +119,7 @@ func TestCoroutinesPooled(t *testing.T) {
 		m := New(Config{P: p})
 		most := 0
 		leaf := func(tc *TC) {
-			most = max(most, len(tc.m.coros))
+			most = max(most, len(tc.co.m.coros))
 			tc.Work(1)
 		}
 		res := m.MustRun(func(tc *TC) {

@@ -36,7 +36,7 @@ func (tc *TC) Resolve(f *Future) {
 		panic("sim: future resolved twice")
 	}
 	f.resolved = true
-	m := tc.m
+	m := tc.co.m
 	for _, w := range f.waiters {
 		if w.state == Waiting && !w.resumable {
 			w.resumable = true
@@ -54,6 +54,6 @@ func (tc *TC) Await(f *Future) {
 	if f.resolved {
 		return
 	}
-	tc.m.req = request{kind: reqAwait, fut: f}
+	tc.co.m.req = request{kind: reqAwait, fut: f}
 	tc.yield()
 }

@@ -293,7 +293,6 @@ func (m *Machine) newThread(parent *thread, body Func) *thread {
 	}
 	th := &m.slab[0]
 	m.slab = m.slab[1:]
-	th.m = m
 	th.id = int32(m.nthreads)
 	th.parent = parent
 	th.proc = -1

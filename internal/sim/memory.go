@@ -41,7 +41,7 @@ func (m *Machine) syncMemEpoch() {
 // against the thread's processor at the current step. It panics if no
 // memory is attached.
 func (tc *TC) Read(addr int) int64 {
-	m := tc.m
+	m := tc.co.m
 	if m.mem == nil {
 		panic("sim: no shared memory attached (use Machine.AttachMemory)")
 	}
@@ -52,7 +52,7 @@ func (tc *TC) Read(addr int) int64 {
 // Write stores v at addr of the machine's shared memory, audited against
 // the thread's processor at the current step.
 func (tc *TC) Write(addr int, v int64) {
-	m := tc.m
+	m := tc.co.m
 	if m.mem == nil {
 		panic("sim: no shared memory attached (use Machine.AttachMemory)")
 	}
@@ -69,5 +69,5 @@ func (tc *TC) auditProc() int {
 	if tc.proc >= 0 {
 		return int(tc.proc)
 	}
-	return tc.m.p + int(tc.id)
+	return tc.co.m.p + int(tc.id)
 }

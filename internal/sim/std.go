@@ -22,7 +22,7 @@ func (tc *TC) Launch(children ...Func) {
 	if len(children) == 0 {
 		return
 	}
-	tc.m.req = request{kind: reqLaunch, children: children}
+	tc.co.m.req = request{kind: reqLaunch, children: children}
 	tc.yield()
 }
 
@@ -69,8 +69,8 @@ func (sp *stdPool) busy() int { return len(sp.list) }
 func (sp *stdPool) minRemaining() int64 {
 	min := int64(1) << 62
 	for _, th := range sp.list {
-		if th.busyRem < min {
-			min = th.busyRem
+		if th.busy < min {
+			min = th.busy
 		}
 	}
 	return min
@@ -84,7 +84,7 @@ func (m *Machine) serviceStd(th *thread) {
 		req := m.req
 		switch req.kind {
 		case reqWork:
-			th.busyRem = req.units
+			th.busy = req.units
 			m.totalWork += req.units
 			return
 
@@ -144,7 +144,7 @@ func (m *Machine) advanceStd(f int) int64 {
 			delta = 1
 		}
 		for i, th := range m.std.list {
-			th.busyRem -= delta
+			th.busy -= delta
 			proc := m.freeProcs[i%f]
 			m.procBusy[proc] += delta
 			if m.traceRec != nil {
@@ -159,7 +159,7 @@ func (m *Machine) advanceStd(f int) int64 {
 	// Multitasking: one step, f quanta, round-robin from the rotor.
 	for i := 0; i < f; i++ {
 		th := m.std.list[(m.std.rotor+i)%s]
-		th.busyRem--
+		th.busy--
 		proc := m.freeProcs[i]
 		m.procBusy[proc]++
 		if m.traceRec != nil {
@@ -176,7 +176,7 @@ func (m *Machine) advanceStd(f int) int64 {
 func (m *Machine) finishStdDue() {
 	finished := false
 	for _, th := range m.std.list {
-		if th.busyRem <= 0 && th.state == Running {
+		if th.busy <= 0 && th.state == Running {
 			m.serviceStd(th)
 			if th.state == Done {
 				finished = true

@@ -35,26 +35,36 @@
 // # Execution on the host
 //
 // The scheduler and the thread bodies run in lockstep: one body runs at a
-// time, until its next TC call, which hands a request to the scheduler.
-// Each body runs on a runtime coroutine (iter.Pull), so a request is one
-// coroutine switch each way instead of a handoff through the Go
-// scheduler. A thread takes a coroutine when it first runs and gives it
-// back when it finishes, for the next thread to reuse; a pending thread
-// holds none. So a run needs one coroutine per thread that is running or
-// waiting at once: an Algorithm 1 run on p processors uses p of them. With
-// a goroutine and two channels per thread instead, the catalogue's
-// editdistance n=32 (1090 threads) took 6.4–7.4 ms and 16.3k allocations
-// a run; on pooled coroutines it takes 2.0–2.7 ms and 4.4k, most of them
-// the program's own (go test -bench, shared 2-core Xeon host). Run stops
-// every coroutine before it returns, so a failed run leaves nothing
-// parked.
+// time. Work, Do, Await and Launch need the scheduler (to charge time,
+// hand the processor on, or start a standard thread), so each hands it a
+// request and switches to it, as a finishing body does. Spawn and Resolve
+// leave the thread on its processor, so they update the machine from the
+// body, which runs on. Each body runs on a runtime coroutine (iter.Pull),
+// so a switch is one coroutine switch each way instead of a handoff
+// through the Go scheduler. A thread takes a coroutine when it first runs
+// and gives it back when it finishes, for the next thread to reuse; a
+// pending thread holds none. So a run needs one coroutine per thread that
+// is running or waiting at once: an Algorithm 1 run on p processors uses
+// p of them. Run stops every coroutine before it returns, so a failed run
+// leaves nothing parked.
+//
+// The pending queue heaps a thread only if it is still pending when a
+// global pick happens (pendingQueue); §3.1's handoffs claim most threads
+// before that. In the catalogue's editdistance n=32 at seed 7 (991
+// threads), 61 threads enter the heap and none is compared. A thread
+// record is 112 bytes, carved from 8 KB slab chunks, and TC is the record
+// itself. With a goroutine and two channels per thread, that job took
+// 6.4–7.4 ms and 16.3k allocations a run; on pooled coroutines, 2.0–2.7
+// ms and 4.4k; with the staged queue, Spawn and Resolve in place, and
+// dp's one-array graph and small per-cell closures, RUNMS ms, 1.2k
+// allocations and 222 KB (go test -bench, shared 2-core Xeon host).
 //
 // A coroutine switch bypasses the Go scheduler, so a run that keeps its
 // processor busy gives the GC's fractional mark worker no turn until async
 // preemption, and a serving daemon's heap grows while marking falls
-// behind. The scheduler therefore yields the processor (runtime.Gosched)
-// once every gcYieldEvery body resumptions; the constant's comment gives
-// the measurement.
+// behind. The machine therefore yields the processor (runtime.Gosched)
+// once every gcYieldEvery body steps, a step being a resumption or a
+// Spawn or Resolve call; the constant's comment gives the measurement.
 package sim
 
 import "fmt"
@@ -124,9 +134,8 @@ type request struct {
 // per-run slab (Machine.newThread), and the TC handed to the body is the
 // record itself, so creating a thread allocates nothing of its own. A run
 // creates one record per pal-thread, so the fields are ordered and sized
-// to keep the record small: 112 bytes on 64-bit hosts.
+// to keep the record small: 96 bytes on 64-bit hosts.
 type thread struct {
-	m      *Machine
 	parent *thread
 	// jump is a skew-binary jump pointer to an ancestor (the root's is
 	// itself), which lets preorderLess reach an ancestor in O(log depth)
@@ -141,13 +150,14 @@ type thread struct {
 	pendingHead *thread
 
 	// body starts on the coroutine co when the thread first runs. co is
-	// nil while the thread is pending and after it finishes.
+	// nil while the thread is pending and after it finishes; while the
+	// body runs, its TC reaches the machine through co.
 	body Func
 	co   *coro
 
-	busy int64 // time at which the current Work segment completes
-	// busyRem is a standard thread's remaining work.
-	busyRem int64
+	// busy is the time at which a pal-thread's current Work segment
+	// completes, or a standard thread's remaining work.
+	busy int64
 
 	id int32
 	// childIdx is the index among siblings in creation order, and depth
@@ -195,7 +205,7 @@ func (tc *TC) Work(units int64) {
 	if units <= 0 {
 		return
 	}
-	tc.m.req = request{kind: reqWork, units: units}
+	tc.co.m.req = request{kind: reqWork, units: units}
 	tc.yield()
 }
 
@@ -207,7 +217,7 @@ func (tc *TC) Do(children ...Func) {
 	if len(children) == 0 {
 		return
 	}
-	tc.m.req = request{kind: reqDo, children: children}
+	tc.co.m.req = request{kind: reqDo, children: children}
 	tc.yield()
 }
 
@@ -221,7 +231,7 @@ func (tc *TC) Spawn(children ...Func) {
 	if len(children) == 0 {
 		return
 	}
-	m := tc.m
+	m := tc.co.m
 	for _, body := range children {
 		m.pending.push(m.newThread((*thread)(tc), body))
 	}
@@ -229,10 +239,10 @@ func (tc *TC) Spawn(children ...Func) {
 }
 
 // Now returns the current simulated time step.
-func (tc *TC) Now() int64 { return tc.m.now }
+func (tc *TC) Now() int64 { return tc.co.m.now }
 
 // P returns the machine's processor count.
-func (tc *TC) P() int { return tc.m.p }
+func (tc *TC) P() int { return tc.co.m.p }
 
 // Proc returns the processor the thread is currently running on.
 func (tc *TC) Proc() int { return int(tc.proc) }
@@ -259,7 +269,7 @@ func (tc *TC) palOnly(name string) {
 	}
 }
 
-// yield hands the request in tc.m.req to the scheduler and returns when
+// yield hands the request in the machine's req to the scheduler and returns when
 // the scheduler resumes the thread. If Run stopped the coroutine instead,
 // it unwinds the body with the coroStopped sentinel, which the coroutine's
 // loop swallows.
