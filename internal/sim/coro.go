@@ -10,14 +10,14 @@ import (
 // switch never enters the Go scheduler, so without the yield a run that
 // holds its processor starves the GC's fractional mark worker until async
 // preemption. Under the interactive-under-batch serving load on a 2-core
-// host (GODEBUG=gctrace=1), coroutines without the yield raised concurrent mark p90 from 1.7 to
-// 3.7 ms and heap goals above 4 MB from 26 of 1067 cycles to 196 of 1829;
-// yielding every 256 resumptions cut those to 54 of 2091, and the daemon's
-// RSS excess over goroutine threads from 15–16% to 4–7%. With the thread
-// slab in place as well, removing the yield still raised the daemon's
-// peak RSS in each of 3 alternating pairs (16.06, 15.79, 16.15 → 16.38,
-// 16.70, 17.79 MB) and its CPU per job by 7%. It is a measured constant,
-// not a knob.
+// host (GODEBUG=gctrace=1), coroutines without the yield raised concurrent
+// mark p90 from 1.7 to 3.7 ms and heap goals above 4 MB from 26 of 1067
+// cycles to 196 of 1829; yielding every 256 resumptions cut those to 54 of
+// 2091, and the daemon's RSS excess over goroutine threads from 15–16% to
+// 4–7%. With the thread slab in place as well, removing the yield still
+// raised the daemon's peak RSS in each of 3 alternating pairs (16.06,
+// 15.79, 16.15 → 16.38, 16.70, 17.79 MB) and its CPU per job by 7%. It is a
+// measured constant, not a knob.
 const gcYieldEvery = 256
 
 // coroStopped is the panic value that unwinds a body whose coroutine Run

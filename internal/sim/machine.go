@@ -336,7 +336,6 @@ func (m *Machine) activateOn(th *thread, proc int32) {
 	th.state = Running
 	th.proc = proc
 	m.running++
-	m.pending.remove(th)
 	if m.traceRec != nil {
 		m.traceRec.noteActivated(th, m.now)
 	}

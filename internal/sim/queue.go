@@ -7,8 +7,8 @@ package sim
 // Every policy is a strict total order on distinct threads, so the minimum
 // over the still-pending threads does not depend on when each entered the
 // heap: staging changes no pick, only how many threads are ever compared.
-// Threads claimed after they entered the heap are removed lazily (marked,
-// and skipped at pop time).
+// A thread claimed after it entered the heap is removed lazily: no thread
+// becomes pending again, so pop skips any that is no longer pending.
 type pendingQueue struct {
 	less  func(a, b *thread) bool
 	items []*thread // a min-heap by less
@@ -31,15 +31,12 @@ func (q *pendingQueue) reset(policy Policy) {
 	q.fresh = q.fresh[:0]
 }
 
-func (q *pendingQueue) push(th *thread) {
-	th.inQueue = true
-	q.fresh = append(q.fresh, th)
-}
+func (q *pendingQueue) push(th *thread) { q.fresh = append(q.fresh, th) }
 
 // pop returns the highest-priority thread still pending, or nil.
 func (q *pendingQueue) pop() *thread {
 	for _, th := range q.fresh {
-		if th.inQueue && th.state == Pending {
+		if th.state == Pending {
 			q.items = heapPush(q.items, th, q.less)
 		}
 	}
@@ -48,16 +45,12 @@ func (q *pendingQueue) pop() *thread {
 	for len(q.items) > 0 {
 		var th *thread
 		th, q.items = heapPop(q.items, q.less)
-		if th.inQueue && th.state == Pending {
-			th.inQueue = false
+		if th.state == Pending {
 			return th
 		}
 	}
 	return nil
 }
-
-// remove lazily deletes th from the queue.
-func (q *pendingQueue) remove(th *thread) { th.inQueue = false }
 
 // preorderLess reports whether a precedes b in the preorder traversal of
 // the activation tree: an ancestor precedes its descendants, and below

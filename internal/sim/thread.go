@@ -52,12 +52,13 @@
 // global pick happens (pendingQueue); §3.1's handoffs claim most threads
 // before that. In the catalogue's editdistance n=32 at seed 7 (991
 // threads), 61 threads enter the heap and none is compared. A thread
-// record is 112 bytes, carved from 8 KB slab chunks, and TC is the record
+// record is 96 bytes, 85 to an 8 KB slab chunk, and TC is the record
 // itself. With a goroutine and two channels per thread, that job took
-// 6.4–7.4 ms and 16.3k allocations a run; on pooled coroutines, 2.0–2.7
-// ms and 4.4k; with the staged queue, Spawn and Resolve in place, and
-// dp's one-array graph and small per-cell closures, RUNMS ms, 1.2k
-// allocations and 222 KB (go test -bench, shared 2-core Xeon host).
+// 6.4–7.4 ms and 16.3k allocations a run. On pooled coroutines with every
+// thread heaped, it took 2.58–2.76 ms, 4.4k allocations and 356 KB; with
+// the staged queue, Spawn and Resolve in place, and dp's one-array graph
+// and small per-cell closures, 1.49–1.52 ms, 1.2k and 206 KB (go test
+// -bench -cpu 2, three alternating rounds, shared 2-core Xeon host).
 //
 // A coroutine switch bypasses the Go scheduler, so a run that keeps its
 // processor busy gives the GC's fractional mark worker no turn until async
@@ -134,7 +135,7 @@ type request struct {
 // per-run slab (Machine.newThread), and the TC handed to the body is the
 // record itself, so creating a thread allocates nothing of its own. A run
 // creates one record per pal-thread, so the fields are ordered and sized
-// to keep the record small: 96 bytes on 64-bit hosts.
+// to keep the record small: 88 bytes on 64-bit hosts.
 type thread struct {
 	parent *thread
 	// jump is a skew-binary jump pointer to an ancestor (the root's is
@@ -174,8 +175,6 @@ type thread struct {
 	// blockOpen is true between a Do issue and the completion of all the
 	// block's children.
 	blockOpen bool
-	// inQueue is the pending queue's bookkeeping (lazy deletion).
-	inQueue bool
 	// resumable marks a waiting parent whose block completed but which
 	// has not yet received a processor for its control-return.
 	resumable bool
