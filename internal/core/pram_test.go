@@ -82,8 +82,9 @@ func TestPRAMOutcomesPinned(t *testing.T) {
 
 // TestPRAMReduceAllocs pins the near-free job the serving benchmarks run,
 // pram reduce n=8, at its three allocations: the input, the Program
-// interface value and Emulate's copy of the memory. The steps themselves
-// allocate nothing.
+// interface value and the copy of the input that SumReduction.Memory
+// hands Emulate as the working memory. The steps themselves allocate
+// nothing.
 func TestPRAMReduceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates, distorting the counts")
