@@ -52,13 +52,13 @@
 // global pick happens (pendingQueue); §3.1's handoffs claim most threads
 // before that. In the catalogue's editdistance n=32 at seed 7 (991
 // threads), 61 threads enter the heap and none is compared. A thread
-// record is 96 bytes, 85 to an 8 KB slab chunk, and TC is the record
+// record is 88 bytes, 93 to an 8 KB slab chunk, and TC is the record
 // itself. With a goroutine and two channels per thread, that job took
 // 6.4–7.4 ms and 16.3k allocations a run. On pooled coroutines with every
 // thread heaped, it took 2.58–2.76 ms, 4.4k allocations and 356 KB; with
 // the staged queue, Spawn and Resolve in place, and dp's one-array graph
-// and small per-cell closures, 1.49–1.52 ms, 1.2k and 206 KB (go test
-// -bench -cpu 2, three alternating rounds, shared 2-core Xeon host).
+// and small per-cell closures, about 1.5 ms, 1.2k and 197 KB (go test
+// -bench -cpu 2, alternating rounds, shared 2-core Xeon host).
 //
 // A coroutine switch bypasses the Go scheduler, so a run that keeps its
 // processor busy gives the GC's fractional mark worker no turn until async
@@ -268,10 +268,10 @@ func (tc *TC) palOnly(name string) {
 	}
 }
 
-// yield hands the request in the machine's req to the scheduler and returns when
-// the scheduler resumes the thread. If Run stopped the coroutine instead,
-// it unwinds the body with the coroStopped sentinel, which the coroutine's
-// loop swallows.
+// yield hands the machine's pending request to the scheduler and returns
+// when the scheduler resumes the thread. If Run stopped the coroutine
+// instead, it unwinds the body with the coroStopped sentinel, which the
+// coroutine's loop swallows.
 func (tc *TC) yield() {
 	if !tc.co.yield(struct{}{}) {
 		panic(coroStopped{})
