@@ -137,3 +137,26 @@ func TestChecksumMatchesFNV(t *testing.T) {
 		}
 	}
 }
+
+// TestClosestPairAllocs pins compute-mix's heaviest closest-pair job,
+// palrt closestpair n=12634 at p = 0, at 300 allocations a run. The run
+// sorts one copy of the points, merges through one scratch buffer and
+// allocates nothing below the palthreads levels, so what remains is the
+// runtime and its workers, the input, its sorted copy, the scratch buffer
+// and each palthreads block's two closures and their results: about 140.
+// Splitting the y order per level made about 18k.
+func TestClosestPairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates, distorting the counts")
+	}
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		if _, err := RunAlgorithm("closestpair", EnginePalrt, 12634, 0, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 300 {
+		t.Errorf("RunAlgorithm(closestpair, palrt, 12634) allocates %.0f times a run, want <= 300", allocs)
+	}
+}

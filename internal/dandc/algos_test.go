@@ -1,6 +1,7 @@
 package dandc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -202,10 +203,8 @@ func TestClosestPairMatchesBruteForce(t *testing.T) {
 
 // cpPar forces the parallel path with a tiny grain.
 func cpPar(rt *palrt.RT, pts []workload.Point) float64 {
-	px := preparePoints(pts)
-	py := append([]workload.Point(nil), px...)
-	sortByY(py)
-	return cpRec(rt, px, py, 4)
+	a := preparePoints(pts)
+	return cpRec(rt, a, make([]workload.Point, len(a)), 4)
 }
 
 func TestClosestPairClusteredPoints(t *testing.T) {
@@ -219,6 +218,56 @@ func TestClosestPairClusteredPoints(t *testing.T) {
 	want := BruteForceClosest(pts)
 	if got := cpPar(rt, pts); got != want {
 		t.Fatalf("strip-heavy input: %v != %v", got, want)
+	}
+}
+
+// TestClosestPairDegenerateInputs: inputs that stress the x split and the
+// y merge — duplicate points (answer 0), every point on one vertical line,
+// a handful of shared x values, and every size from 2 to 9 — give
+// BruteForceClosest's exact answer through the sequential descent, the
+// catalogue's grain and the tiny-grain parallel path.
+func TestClosestPairDegenerateInputs(t *testing.T) {
+	r := workload.NewRNG(10)
+	rt := palrt.New(4)
+	inputs := map[string][]workload.Point{}
+	dup := workload.Points(r, 300)
+	dup[217] = dup[41]
+	inputs["duplicate"] = dup
+	inputs["all-equal"] = []workload.Point{{X: 0.25, Y: 0.5}, {X: 0.25, Y: 0.5}, {X: 0.25, Y: 0.5}}
+	vertical := make([]workload.Point, 2500)
+	for i := range vertical {
+		vertical[i] = workload.Point{X: 0.5, Y: r.Float64()}
+	}
+	inputs["vertical-line"] = vertical
+	shared := make([]workload.Point, 3000)
+	for i := range shared {
+		shared[i] = workload.Point{X: float64(r.Intn(7)) / 7, Y: r.Float64()}
+	}
+	inputs["shared-x"] = shared
+	grid := make([]workload.Point, 0, 40*40)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			grid = append(grid, workload.Point{X: float64(i) / 40, Y: float64(j) / 40})
+		}
+	}
+	inputs["grid"] = grid
+	for n := 2; n <= 9; n++ {
+		inputs[fmt.Sprintf("n=%d", n)] = workload.Points(r, n)
+	}
+	for name, pts := range inputs {
+		want := BruteForceClosest(pts)
+		for path, got := range map[string]float64{
+			"seq":        ClosestPairSeq(pts),
+			"parallel":   ClosestPair(rt, pts),
+			"tiny-grain": cpPar(rt, pts),
+		} {
+			if got != want {
+				t.Errorf("%s %s: %v, want %v", name, path, got, want)
+			}
+		}
+	}
+	if got := ClosestPairSeq(dup); got != 0 {
+		t.Errorf("duplicate point: %v, want 0", got)
 	}
 }
 
