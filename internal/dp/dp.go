@@ -145,7 +145,12 @@ func RunSeqOn(s Spec, g *dag.Graph) ([]int64, error) {
 // the goroutine runtime: every cell carries a counter initialised to its
 // in-degree; the thread that computes a cell decrements the counters of its
 // dependents and schedules those reaching zero ("pal-threads ... nowait").
-// p worker goroutines model the p processors.
+// p worker goroutines model the p processors. A worker whose cell makes
+// successors ready computes the first of them itself and sends only the
+// rest through the shared channel: §3.1's rule that a processor freed by a
+// finished thread goes to a child. A chain of cells thus runs on one
+// worker without touching the channel, and the count of cells left drops
+// once per such run, before the worker returns to the channel.
 func RunCounter(s Spec, g *dag.Graph, p int) ([]int64, error) {
 	n := g.N()
 	if p < 1 {
@@ -176,13 +181,23 @@ func RunCounter(s Spec, g *dag.Graph, p int) ([]int64, error) {
 		go func() {
 			defer wg.Done()
 			for u := range queue {
-				vals[u] = s.Compute(u, get)
-				for _, v := range g.Succ(u) {
-					if atomic.AddInt32(&cnt[v], -1) == 0 {
-						queue <- int(v)
+				done := int64(0)
+				for u >= 0 {
+					vals[u] = s.Compute(u, get)
+					done++
+					next := -1
+					for _, v := range g.Succ(u) {
+						if atomic.AddInt32(&cnt[v], -1) == 0 {
+							if next < 0 {
+								next = int(v)
+							} else {
+								queue <- int(v)
+							}
+						}
 					}
+					u = next
 				}
-				if remaining.Add(-1) == 0 {
+				if remaining.Add(-done) == 0 {
 					close(queue)
 				}
 			}

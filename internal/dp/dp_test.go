@@ -2,6 +2,7 @@ package dp
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"lopram/internal/palrt"
@@ -128,6 +129,73 @@ func TestRunCounterMatchesSeq(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("%s p=%d: cell %d = %d, want %d", c.name, p, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// countingSpec wraps a Spec and counts the Compute calls of every cell.
+type countingSpec struct {
+	Spec
+	calls []atomic.Int32
+}
+
+func (c *countingSpec) Compute(v int, get func(int) int64) int64 {
+	c.calls[v].Add(1)
+	return c.Spec.Compute(v, get)
+}
+
+// edgeless is a DP with no dependencies: every cell is a source.
+type edgeless int
+
+func (e edgeless) Cells() int                           { return int(e) }
+func (edgeless) Deps(_ int, buf []int) []int            { return buf }
+func (edgeless) Compute(v int, _ func(int) int64) int64 { return 7 * int64(v) }
+func (edgeless) Cost(int) int64                         { return 1 }
+
+// TestRunCounterComputesEachCellOnce: with the local handoff, where a
+// worker computes the first successor its cell makes ready and sends the
+// rest through the channel, every cell is still computed exactly once and
+// the table equals RunSeq's. The shapes cover the 2-D tables, a DAG whose
+// cells are all sources (nothing to hand off) and a chain (everything
+// handed off), from one worker to many more workers than ready cells.
+func TestRunCounterComputesEachCellOnce(t *testing.T) {
+	r := workload.NewRNG(11)
+	a, b := workload.RelatedStrings(r, 60, 4, 8)
+	la, lb := workload.String(r, 50, 4), workload.String(r, 50, 4)
+	ws, vs := workload.Weights(r, 20, 10, 50)
+	data := workload.Int64s(r, 500)
+	for i := range data {
+		data[i] %= 1000
+	}
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"editdistance", NewEditDistance(a, b)},
+		{"lcs", NewLCS(la, lb)},
+		{"knapsack", NewKnapsack(ws, vs, 80)},
+		{"edgeless", edgeless(500)},
+		{"chain", NewPrefixSum(data)},
+	} {
+		g := BuildGraph(c.spec)
+		want, err := RunSeqOn(c.spec, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 8, 64} {
+			cs := &countingSpec{Spec: c.spec, calls: make([]atomic.Int32, c.spec.Cells())}
+			got, err := RunCounter(cs, g, p)
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", c.name, p, err)
+			}
+			for v := range cs.calls {
+				if k := cs.calls[v].Load(); k != 1 {
+					t.Fatalf("%s p=%d: cell %d computed %d times", c.name, p, v, k)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s p=%d: table differs from RunSeq's", c.name, p)
 			}
 		}
 	}
