@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
@@ -173,30 +172,24 @@ func RunAlgorithm(name string, engine Engine, n, p int, seed uint64) (Outcome, e
 
 // ---- checksum helpers ----
 
-func checksumInts(a []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range a {
-		putUint64(&buf, uint64(int64(v)))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+// checksumInts and checksumInt64s return the FNV-1a hash of their input,
+// each value taken as the eight little-endian bytes of its int64: what
+// hash/fnv's New64a returns over those bytes (Outcome.Check's documented
+// meaning), computed inline without the hash.Hash64 interface.
+func checksumInts(a []int) uint64 { return fnv64a(a) }
 
-func checksumInt64s(a []int64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range a {
-		putUint64(&buf, uint64(v))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+func checksumInt64s(a []int64) uint64 { return fnv64a(a) }
 
-func putUint64(buf *[8]byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+func fnv64a[T int | int64](a []T) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for _, v := range a {
+		w := uint64(v)
+		for range 8 {
+			h = (h ^ w&0xff) * 1099511628211 // FNV 64-bit prime
+			w >>= 8
+		}
 	}
+	return h
 }
 
 // ---- engine runner builders ----
