@@ -24,6 +24,11 @@ var (
 	// ErrNotFinished reports that Result was called on a job still in
 	// flight.
 	ErrNotFinished = errors.New("jobqueue: job not finished")
+	// ErrRunPanic marks the failure of a job whose run panicked, in an
+	// engine or in a func job's function. The worker recovers and keeps
+	// serving; the job's error wraps ErrRunPanic and carries the panic
+	// value, and its trace record's Error adds the stack.
+	ErrRunPanic = errors.New("jobqueue: run panicked")
 )
 
 const (

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"lopram/internal/core"
+	"lopram/internal/jobtrace"
 	"lopram/internal/workload"
 )
 
@@ -322,6 +324,50 @@ func TestDeadlineAbandonsRun(t *testing.T) {
 	}
 	if m.Abandoned != 0 {
 		t.Errorf("abandoned gauge = %d after Close, want 0", m.Abandoned)
+	}
+}
+
+// TestRunPanicContained: a func job whose function panics fails with an
+// error that wraps ErrRunPanic and carries the panic value, its trace
+// record adds the stack, and the worker keeps serving: the worker count is
+// unchanged, a spec job submitted afterwards runs, and the run's orphan
+// slot comes back (Close waits for every one).
+func TestRunPanicContained(t *testing.T) {
+	sink := &jobtrace.MemorySink{}
+	q := New(Config{Workers: 1, TraceSink: sink})
+	workers := q.Snapshot().Workers
+	job, err := q.SubmitFunc("boom", func(context.Context) error { panic("boom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(context.Background()); !errors.Is(err, ErrRunPanic) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want ErrRunPanic carrying the panic value", err)
+	}
+	next, err := q.Submit(Spec{Algorithm: "reduce", N: 8, Engine: core.EnginePRAM, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Wait(context.Background()); err != nil {
+		t.Fatalf("spec job after the panic: %v", err)
+	}
+	if got := q.Snapshot().Workers; got != workers {
+		t.Errorf("workers = %d after the panic, want %d", got, workers)
+	}
+	q.Close()
+	if m := q.Snapshot(); m.Abandoned != 0 || m.Failed != 1 {
+		t.Errorf("after Close: abandoned %d, failed %d, want 0 and 1", m.Abandoned, m.Failed)
+	}
+	found := false
+	for _, rec := range sink.Records() {
+		if rec.Outcome == jobtrace.OutcomeError {
+			found = true
+			if !strings.Contains(rec.Error, "boom") || !strings.Contains(rec.Error, "runFunc") {
+				t.Errorf("trace record error %q lacks the panic value or the stack", rec.Error)
+			}
+		}
+	}
+	if !found {
+		t.Error("no error record for the panicked job")
 	}
 }
 

@@ -172,6 +172,10 @@ func (q *Queue) recordExecuted(job *Job, res Result, err error, settleEpoch uint
 	default:
 		rec.Outcome = jobtrace.OutcomeError
 		rec.Error = err.Error()
+		var rp *runPanic
+		if errors.As(err, &rp) {
+			rec.Error += "\n" + string(rp.stack)
+		}
 	}
 	job.mu.Lock()
 	started, finished := job.started, job.finished

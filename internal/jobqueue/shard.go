@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -412,8 +413,40 @@ func (q *Queue) executeRun(t runTask) {
 	if job.pooled {
 		defer job.touches.Add(-1)
 	}
-	o, err := core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
+	o, err := runSpec(&job.Spec)
 	rs.res, rs.won, rs.err = q.finishRun(job, Result{Outcome: o, Wall: time.Since(t.start)}, err, t.timeout)
+}
+
+// runPanic is the error of a run that panicked: it wraps ErrRunPanic and
+// carries the panic value, and the stack for the job's trace record.
+type runPanic struct {
+	value any
+	stack []byte
+}
+
+func (e *runPanic) Error() string { return fmt.Sprintf("%v: %v", ErrRunPanic, e.value) }
+
+func (e *runPanic) Unwrap() error { return ErrRunPanic }
+
+// recoverRun, deferred at a run site, turns a panic of the run into the
+// run's error, so the worker that ran it keeps serving.
+func recoverRun(err *error) {
+	if v := recover(); v != nil {
+		*err = &runPanic{value: v, stack: debug.Stack()}
+	}
+}
+
+// runSpec runs an algorithm job's spec: the run site of the inline path
+// and of the runner lane.
+func runSpec(s *Spec) (o core.Outcome, err error) {
+	defer recoverRun(&err)
+	return core.RunAlgorithm(s.Algorithm, s.Engine, s.N, s.P, s.Seed)
+}
+
+// runFunc runs a func job's function: the run site of its goroutine.
+func runFunc(ctx context.Context, fn func(context.Context) error) (err error) {
+	defer recoverRun(&err)
+	return fn(ctx)
 }
 
 // finishRun turns a returned run terminal and reports the outcome it
@@ -511,7 +544,7 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 		// a mispredicted run that does blow it fails exactly like a
 		// held-out deadline run whose orphan budget was exhausted (the
 		// worker rode out the whole run either way).
-		o, err := core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
+		o, err := runSpec(&job.Spec)
 		res, won, err := q.finishRun(job, Result{Outcome: o, Wall: time.Since(start)}, err, timeout)
 		if won {
 			q.bufferCompletion(ws, job, res, err, res.Wall, start)
@@ -545,7 +578,7 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 			if job.pooled {
 				defer job.touches.Add(-1)
 			}
-			err := job.fn(ctx)
+			err := runFunc(ctx, job.fn)
 			rs.res, rs.won, rs.err = q.finishRun(job, Result{Wall: time.Since(start)}, err, timeout)
 		}()
 	} else {
