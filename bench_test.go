@@ -473,6 +473,34 @@ func BenchmarkSimCatalogue(b *testing.B) {
 	}
 }
 
+// BenchmarkPalrtCatalogue prices the goroutine runtime's kernels alone,
+// through RunAlgorithm at p = 0, on the heaviest palrt specs compute-mix
+// runs: closest pair at its top size, the two sorts and prefix sums at
+// theirs, and the counter-scheduled dynamic programs at n=91. Seeds vary
+// per iteration, as in BenchmarkSimCatalogue.
+func BenchmarkPalrtCatalogue(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"closestpair", 12634},
+		{"mergesort", 46341},
+		{"quicksort", 46341},
+		{"prefixsums", 185364},
+		{"editdistance", 91},
+		{"lcs", 91},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", c.name, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.RunAlgorithm(c.name, core.EnginePalrt, c.n, 0, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRNG measures the workload generator.
 func BenchmarkRNG(b *testing.B) {
 	r := workload.NewRNG(1)
