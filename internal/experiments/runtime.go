@@ -55,9 +55,9 @@ func E13(quick bool) Report {
 
 	// minAtMaxP is the per-algorithm floor on the speedup at the largest
 	// p. Mergesort's merge is the only serial component, so it must clear
-	// 1.5×. Closest pair additionally pays a serial Θ(n) y-split in its
-	// divide step and is allocation-bound, so Eq. (3) with f(n) = Θ(n)
-	// charged twice predicts a weaker constant; 1.25× is the shape floor.
+	// 1.5×. Closest pair pays a serial Θ(n) y-merge and a serial Θ(n)
+	// strip scan per level, so Eq. (3) with f(n) = Θ(n) charged twice
+	// predicts a weaker constant; 1.25× is the shape floor.
 	measure := func(name string, minAtMaxP float64, run func(p int)) {
 		var t1 time.Duration
 		var prevSpeedup float64
@@ -110,6 +110,6 @@ func E13(quick bool) Report {
 		Table: tb,
 		Pass:  pass,
 		Verdict: fmt.Sprintf("host has %d cores; speedup grows with p (mergesort ≥ 1.5×, closest pair ≥ 1.25× at max p; "+
-			"closest pair carries a serial Θ(n) y-split per divide and is allocation-bound)", host),
+			"closest pair merges y order and scans its strip serially, Θ(n) each per level)", host),
 	}
 }
